@@ -17,65 +17,51 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     """dE/dtheta for E = loss_scale * mse_loss(trace.y, targets).
 
     Error flows through both the cell-state recurrence and the
-    block-output recurrence across every timestep (no truncation).
+    block-output recurrence across every timestep (no truncation). The
+    loop carries only the gate deltas; the weight gradients are whole-
+    sequence matrix products afterwards.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != trace.y.shape:
         raise LengthMismatch(f"targets {targets.shape} vs trace {trace.y.shape}")
-    grads = params.zeros_like()
-    num_entries = trace.y.size
-    d_y = loss_scale * 2.0 * (trace.y - targets) / num_entries
+    nb = params.num_blocks
+    y = trace.y
+    dz_y = loss_scale * 2.0 * (y - targets) / y.size * y * (1.0 - y)
+    d_out = dz_y @ params.w_out  # output-layer error reaching each h_t
 
-    dh_carry = np.zeros(params.num_blocks)
-    dc_carry = np.zeros(params.num_blocks)
+    i, f, o, g = (trace.gates[:, k * nb : (k + 1) * nb] for k in range(4))
+    c_prev = np.vstack([trace.init_state.cell_states, trace.cell_states[:-1]])
+    h_prev = np.vstack([trace.init_state.block_outputs, trace.block_outputs[:-1]])
+    tc = np.tanh(trace.cell_states)
+    dc_dh = o * (1.0 - tc * tc)
+    # d(gate pre-activation) per unit of dc (i, f, c) or of dh (o); each
+    # step below scales its row into that step's gate deltas.
+    dz = np.hstack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                    tc * o * (1.0 - o), i * (1.0 - g * g)])
+    dh_carry = np.zeros(nb)
+    dc_carry = np.zeros(nb)
     for t in range(len(trace) - 1, -1, -1):
-        y = trace.y[t]
-        dz_y = d_y[t] * y * (1.0 - y)
-        h = trace.block_outputs[t]
-        grads.w_out += np.outer(dz_y, h)
-        grads.b_out += dz_y
+        dh = d_out[t] + dh_carry
+        dc = dh * dc_dh[t] + dc_carry
+        dz[t] *= np.concatenate([dc, dc, dh, dc])
+        dh_carry = dz[t] @ params.w_h
+        dc_carry = dc * f[t]
 
-        dh = params.w_out.T @ dz_y + dh_carry
-        gi, gf, go = trace.gate_in[t], trace.gate_forget[t], trace.gate_out[t]
-        ci, c = trace.cell_input[t], trace.cell_states[t]
-        tc = np.tanh(c)
-        d_go = dh * tc
-        dc = dh * go * (1.0 - tc * tc) + dc_carry
-
-        c_prev = trace.cell_states[t - 1] if t > 0 else trace.init_state.cell_states
-        h_prev = trace.block_outputs[t - 1] if t > 0 else trace.init_state.block_outputs
-
-        dz_o = d_go * go * (1.0 - go)
-        dz_i = dc * ci * gi * (1.0 - gi)
-        dz_f = dc * c_prev * gf * (1.0 - gf)
-        dz_c = dc * gi * (1.0 - ci * ci)
-
-        x = trace.x[t]
-        for dz, wx, wh, b in (
-            (dz_i, "wx_i", "wh_i", "b_i"),
-            (dz_f, "wx_f", "wh_f", "b_f"),
-            (dz_o, "wx_o", "wh_o", "b_o"),
-            (dz_c, "wx_c", "wh_c", "b_c"),
-        ):
-            getattr(grads, wx)[...] += np.outer(dz, x)
-            getattr(grads, wh)[...] += np.outer(dz, h_prev)
-            getattr(grads, b)[...] += dz
-
-        dh_carry = (params.wh_i.T @ dz_i + params.wh_f.T @ dz_f
-                    + params.wh_o.T @ dz_o + params.wh_c.T @ dz_c)
-        dc_carry = dc * gf
-
-    for a in grads.arrays():
-        if not np.isfinite(a).all():
-            raise NonFiniteGradient("NaN/inf in gradient")
+    grads = params.zeros_like()
+    np.matmul(dz.T, trace.x, out=grads.w_x)
+    np.matmul(dz.T, h_prev, out=grads.w_h)
+    np.sum(dz, axis=0, out=grads.b)
+    np.matmul(dz_y.T, trace.block_outputs, out=grads.w_out)
+    np.sum(dz_y, axis=0, out=grads.b_out)
+    if not np.isfinite(grads.vector).all():
+        raise NonFiniteGradient("NaN/inf in gradient")
     return grads
 
 
 def add_into(total: GradientSet, extra: GradientSet) -> GradientSet:
     """In-place elementwise sum; returns total."""
     total.check_congruent(extra)
-    for mine, theirs in zip(total.arrays(), extra.arrays()):
-        mine += theirs
+    total.vector += extra.vector
     return total
 
 

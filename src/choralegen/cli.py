@@ -118,18 +118,11 @@ def cmd_gradcheck(args) -> int:
     targets = (rng.uniform(0, 1, (6, net.num_outputs)) > 0.5).astype(float)
     analytic = bptt.backward(params, forward_sequence(params, inputs), targets)
     numeric = bptt.finite_diff_gradient(params, inputs, targets, h=1e-5)
-    scale = max(float(np.max(np.abs(analytic.flatten()))),
-                float(np.max(np.abs(numeric.flatten()))), 1e-12)
-    worst = 0.0
-    worst_name = ""
-    for name, a, n in zip(PARAM_FIELDS, analytic.arrays(), numeric.arrays()):
-        err = float(np.max(np.abs(a - n))) / scale
-        if err > worst:
-            worst, worst_name = err, name
-    print(f"max relative gradient error: {worst:.3e} (parameter {worst_name})")
-    if worst >= 1e-6:
-        return 4
-    return 0
+    err = bptt.max_relative_error(analytic, numeric)
+    diff = analytic.with_flat(np.abs(analytic.vector - numeric.vector))
+    worst = max(PARAM_FIELDS, key=lambda name: getattr(diff, name).max())
+    print(f"max relative gradient error: {err:.3e} (parameter {worst})")
+    return 4 if err >= 1e-6 else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -61,8 +61,11 @@ def piece_prf(predicted: np.ndarray, target: np.ndarray) -> tuple[float, float, 
     c = _count(np.asarray(predicted), np.asarray(target))
     precision = c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0
     recall = c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    if not precision + recall:
+        return precision, recall, 0.0
+    # Rounding can put 2PR/(P+R) one ulp outside [min(P, R), max(P, R)].
+    f1 = 2 * precision * recall / (precision + recall)
+    return precision, recall, min(max(f1, min(precision, recall)), max(precision, recall))
 
 
 def frame_accuracy(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:

@@ -19,7 +19,7 @@ import zlib
 import numpy as np
 
 from .errors import ChecksumMismatch, VersionMismatch
-from .network import NetworkConfig, NetworkParams, init_params
+from .network import NetworkConfig, NetworkParams, param_count
 
 MAGIC = b"CHLF"
 VERSION = 1
@@ -27,7 +27,7 @@ _HEADER = struct.Struct("<IIIIQ")  # version, inputs, blocks, outputs, count
 
 
 def serialize_model(params: NetworkParams) -> bytes:
-    flat = np.ascontiguousarray(params.flatten(), dtype="<f8")
+    flat = np.concatenate([a.ravel() for a in params.arrays()]).astype("<f8")
     body = _HEADER.pack(VERSION, params.num_inputs, params.num_blocks,
                         params.num_outputs, flat.size) + flat.tobytes()
     return MAGIC + body + struct.pack("<I", zlib.crc32(body))
@@ -44,15 +44,21 @@ def deserialize_model(data: bytes) -> NetworkParams:
     version, n_in, n_b, n_out, count = _HEADER.unpack(body[: _HEADER.size])
     if version != VERSION:
         raise VersionMismatch(f"unsupported version {version}")
+    # Header sizes are checked against each other and the payload before
+    # anything is allocated from them.
+    if min(n_in, n_b, n_out) < 1 or param_count(
+            NetworkConfig(num_inputs=n_in, num_blocks=n_b, num_outputs=n_out)) != count:
+        raise ChecksumMismatch("header count inconsistent with layer sizes")
     payload = body[_HEADER.size :]
     if len(payload) != 8 * count:
         raise ChecksumMismatch("payload length does not match header count")
-    template = init_params(NetworkConfig(num_inputs=n_in, num_blocks=n_b,
-                                         num_outputs=n_out, init_scale=0.0))
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if flat.size != template.size():
-        raise ChecksumMismatch("header count inconsistent with layer sizes")
-    return template.with_flat(flat)
+    flat = np.frombuffer(payload, dtype="<f8")
+    params = NetworkParams(np.empty(count), n_in, n_b, n_out)
+    pos = 0
+    for view in params.arrays():
+        view[...] = flat[pos : pos + view.size].reshape(view.shape)
+        pos += view.size
+    return params
 
 
 def save_model(path: str, params: NetworkParams):

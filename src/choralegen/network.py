@@ -7,14 +7,15 @@ only; the output layer reads block outputs plus bias. All math is float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteActivation, ShapeMismatch
 
-# Serialization / flattening order: gates input, forget, output, then cell
-# candidate; per gate inputs-then-recurrent-then-bias; output layer last.
+# Serialization (.chlf) and initial-draw order: gates input, forget, output,
+# then cell candidate; per gate inputs-then-recurrent-then-bias; output
+# layer last. The in-memory layout stacks the gates instead (NetworkParams).
 PARAM_FIELDS = (
     "wx_i", "wh_i", "b_i",
     "wx_f", "wh_f", "b_f",
@@ -42,66 +43,58 @@ def param_count(config: NetworkConfig) -> int:
             + config.num_outputs * (config.num_blocks + 1))
 
 
-@dataclass
 class NetworkParams:
-    """All weights and biases; also reused (zeroed) as a gradient container."""
+    """All weights and biases in one contiguous float64 `vector`; also
+    reused (zeroed) as a gradient container.
 
-    wx_i: np.ndarray
-    wh_i: np.ndarray
-    b_i: np.ndarray
-    wx_f: np.ndarray
-    wh_f: np.ndarray
-    b_f: np.ndarray
-    wx_o: np.ndarray
-    wh_o: np.ndarray
-    b_o: np.ndarray
-    wx_c: np.ndarray
-    wh_c: np.ndarray
-    b_c: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
+    The vector holds the stacked gate matrices w_x (4B, I), w_h (4B, B)
+    and b (4B,), gate row blocks in the order i, f, o, c, followed by
+    w_out (O, B) and b_out (O,). The per-gate arrays (wx_i, wh_f, b_c, ...)
+    are views of those row blocks, so writes through any name land in
+    `vector`.
+    """
 
-    @property
-    def num_inputs(self) -> int:
-        return self.wx_i.shape[1]
+    def __init__(self, vector: np.ndarray, num_inputs: int, num_blocks: int,
+                 num_outputs: int):
+        ni, nb, no = num_inputs, num_blocks, num_outputs
+        sizes = (4 * nb * ni, 4 * nb * nb, 4 * nb, no * nb, no)
+        if vector.shape != (sum(sizes),) or vector.dtype != np.float64:
+            raise ShapeMismatch("flat vector length does not match parameter count")
+        self.vector = vector
+        self.num_inputs, self.num_blocks, self.num_outputs = ni, nb, no
+        w_x, w_h, self.b, w_out, self.b_out = np.split(vector, np.cumsum(sizes)[:-1])
+        self.w_x, self.w_h = w_x.reshape(4 * nb, ni), w_h.reshape(4 * nb, nb)
+        self.w_out = w_out.reshape(no, nb)
+        self.wx_i, self.wx_f, self.wx_o, self.wx_c = np.split(self.w_x, 4)
+        self.wh_i, self.wh_f, self.wh_o, self.wh_c = np.split(self.w_h, 4)
+        self.b_i, self.b_f, self.b_o, self.b_c = np.split(self.b, 4)
 
-    @property
-    def num_blocks(self) -> int:
-        return self.wx_i.shape[0]
-
-    @property
-    def num_outputs(self) -> int:
-        return self.w_out.shape[0]
-
-    def arrays(self):
+    def arrays(self) -> list[np.ndarray]:
+        """The 14 named views in PARAM_FIELDS (.chlf) order."""
         return [getattr(self, name) for name in PARAM_FIELDS]
 
     def size(self) -> int:
-        return sum(a.size for a in self.arrays())
+        return self.vector.size
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(*(a.copy() for a in self.arrays()))
+        return self.with_flat(self.vector.copy())
 
     def zeros_like(self) -> "NetworkParams":
-        return NetworkParams(*(np.zeros_like(a) for a in self.arrays()))
+        return self.with_flat(np.zeros_like(self.vector))
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
+        return self.vector.copy()
 
     def with_flat(self, flat: np.ndarray) -> "NetworkParams":
-        out = []
-        pos = 0
-        for a in self.arrays():
-            out.append(flat[pos : pos + a.size].reshape(a.shape))
-            pos += a.size
-        if pos != flat.size:
-            raise ShapeMismatch("flat vector length does not match parameter count")
-        return NetworkParams(*out)
+        """Same layer sizes around `flat` (in this layout; not copied)."""
+        return NetworkParams(np.asarray(flat, dtype=np.float64), self.num_inputs,
+                             self.num_blocks, self.num_outputs)
 
     def check_congruent(self, other: "NetworkParams"):
-        for mine, theirs in zip(self.arrays(), other.arrays()):
-            if mine.shape != theirs.shape:
-                raise ShapeMismatch(f"{mine.shape} vs {theirs.shape}")
+        mine = (self.num_inputs, self.num_blocks, self.num_outputs)
+        theirs = (other.num_inputs, other.num_blocks, other.num_outputs)
+        if mine != theirs:
+            raise ShapeMismatch(f"layer sizes {mine} vs {theirs}")
 
 
 def init_params(config: NetworkConfig) -> NetworkParams:
@@ -113,31 +106,19 @@ def init_params(config: NetworkConfig) -> NetworkParams:
     other biases start at zero.
     """
     rng = np.random.Generator(np.random.PCG64(config.rng_seed))
-    n_in, n_b, n_out = config.num_inputs, config.num_blocks, config.num_outputs
-    shapes = {
-        "wx": (n_b, n_in), "wh": (n_b, n_b), "b": (n_b,),
-        "w_out": (n_out, n_b), "b_out": (n_out,),
-    }
-    values = {}
-    for name in PARAM_FIELDS:
-        kind = name.split("_")[0] if name not in ("w_out", "b_out") else name
-        shape = shapes[kind]
-        if kind.startswith("b"):
-            values[name] = np.zeros(shape)
-        else:
-            values[name] = rng.uniform(-config.init_scale, config.init_scale, shape)
-    values["b_f"] = np.ones(n_b)
-    return NetworkParams(**{name: values[name] for name in PARAM_FIELDS})
+    params = NetworkParams(np.zeros(param_count(config)), config.num_inputs,
+                           config.num_blocks, config.num_outputs)
+    for name, view in zip(PARAM_FIELDS, params.arrays()):
+        if not name.startswith("b"):
+            view[...] = rng.uniform(-config.init_scale, config.init_scale, view.shape)
+    params.b_f[...] = 1.0
+    return params
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split form avoids overflow in exp for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-z) overflows to inf for z < -709, which correctly gives 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass
@@ -151,77 +132,66 @@ class StepState:
 
 
 @dataclass
-class StepRecord:
-    x: np.ndarray
-    gate_in: np.ndarray
-    gate_forget: np.ndarray
-    gate_out: np.ndarray
-    cell_input: np.ndarray  # tanh candidate
-    cell_states: np.ndarray
-    block_outputs: np.ndarray
-    out_pre: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
 class ForwardTrace:
-    """Stacked per-timestep activations, everything exact BPTT needs."""
+    """Per-timestep activations, everything exact BPTT needs."""
 
     x: np.ndarray            # (T, num_inputs)
-    gate_in: np.ndarray      # (T, num_blocks)
-    gate_forget: np.ndarray
-    gate_out: np.ndarray
-    cell_input: np.ndarray
-    cell_states: np.ndarray
+    gates: np.ndarray        # (T, 4B): sigmoid i, f, o then tanh cell input
+    cell_states: np.ndarray  # (T, B)
     block_outputs: np.ndarray
-    out_pre: np.ndarray      # (T, num_outputs)
-    y: np.ndarray            # predictions in (0, 1)
+    y: np.ndarray            # (T, num_outputs) predictions in (0, 1)
     init_state: StepState
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
+    def _gate(self, k: int) -> np.ndarray:
+        nb = self.cell_states.shape[1]
+        return self.gates[:, k * nb : (k + 1) * nb]
 
-def forward_step(params: NetworkParams, x: np.ndarray,
-                 prev: StepState) -> tuple[np.ndarray, StepState, StepRecord]:
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = prev.block_outputs
-    gi = sigmoid(params.wx_i @ x + params.wh_i @ h_prev + params.b_i)
-    gf = sigmoid(params.wx_f @ x + params.wh_f @ h_prev + params.b_f)
-    go = sigmoid(params.wx_o @ x + params.wh_o @ h_prev + params.b_o)
-    ci = np.tanh(params.wx_c @ x + params.wh_c @ h_prev + params.b_c)
-    c = gf * prev.cell_states + gi * ci
-    h = go * np.tanh(c)
-    zy = params.w_out @ h + params.b_out
-    y = sigmoid(zy)
-    if not (np.isfinite(c).all() and np.isfinite(y).all()):
-        raise NonFiniteActivation(0)
-    record = StepRecord(x, gi, gf, go, ci, c, h, zy, y)
-    return y, StepState(c, h), record
+    gate_in = property(lambda self: self._gate(0))
+    gate_forget = property(lambda self: self._gate(1))
+    gate_out = property(lambda self: self._gate(2))
+
+    def final_state(self) -> StepState:
+        return StepState(self.cell_states[-1], self.block_outputs[-1])
 
 
 def forward_sequence(params: NetworkParams, inputs: np.ndarray,
                      init_state: StepState | None = None) -> ForwardTrace:
-    """Run the whole sequence from a zero state (or a given one)."""
+    """Run the whole sequence from a zero state (or a given one).
+
+    The input projection of all timesteps is one matrix product; each step
+    then adds one recurrent product into its row of the gate array.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
         raise ValueError("inputs must be a non-empty (T, num_inputs) array")
-    state = init_state if init_state is not None else StepState.zeros(params.num_blocks)
-    init = StepState(state.cell_states.copy(), state.block_outputs.copy())
-    records = []
-    for t in range(inputs.shape[0]):
-        try:
-            _, state, rec = forward_step(params, inputs[t], state)
-        except NonFiniteActivation:
-            raise NonFiniteActivation(t) from None
-        records.append(rec)
-    stack = lambda name: np.stack([getattr(r, name) for r in records])
-    return ForwardTrace(
-        x=stack("x"), gate_in=stack("gate_in"), gate_forget=stack("gate_forget"),
-        gate_out=stack("gate_out"), cell_input=stack("cell_input"),
-        cell_states=stack("cell_states"), block_outputs=stack("block_outputs"),
-        out_pre=stack("out_pre"), y=stack("y"), init_state=init,
-    )
+    init = init_state if init_state is not None else StepState.zeros(params.num_blocks)
+    nb = params.num_blocks
+    cells = np.empty((len(inputs), nb))
+    outputs = np.empty((len(inputs), nb))
+    c, h = init.cell_states, init.block_outputs
+    with np.errstate(invalid="ignore"):  # NaN is reported below, by timestep
+        gates = inputs @ params.w_x.T + params.b
+        for t, z in enumerate(gates):
+            z += params.w_h @ h
+            z[: 3 * nb] = sigmoid(z[: 3 * nb])
+            np.tanh(z[3 * nb :], out=z[3 * nb :])
+            c = cells[t] = z[nb : 2 * nb] * c + z[:nb] * z[3 * nb :]
+            h = outputs[t] = z[2 * nb : 3 * nb] * np.tanh(c)
+        y = sigmoid(outputs @ params.w_out.T + params.b_out)
+    finite = np.isfinite(cells).all(axis=1) & np.isfinite(y).all(axis=1)
+    if not finite.all():
+        raise NonFiniteActivation(int(np.argmin(finite)))
+    return ForwardTrace(inputs, gates, cells, outputs, y, init)
+
+
+def forward_step(params: NetworkParams, x: np.ndarray,
+                 prev: StepState) -> tuple[np.ndarray, StepState]:
+    """One timestep: the prediction and the state after it."""
+    trace = forward_sequence(params, np.asarray(x)[None], prev)
+    return trace.y[0], trace.final_state()
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:

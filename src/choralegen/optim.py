@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bptt import GradientSet
-from .network import PARAM_FIELDS, NetworkParams
+from .network import NetworkParams
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,7 @@ class RPropState:
 
 
 def rprop_init(params: NetworkParams, config: RPropConfig) -> RPropState:
-    deltas = params.zeros_like()
-    for a in deltas.arrays():
-        a += config.delta_zero
+    deltas = params.with_flat(np.full(params.size(), config.delta_zero))
     return RPropState(deltas, params.zeros_like(), params.zeros_like())
 
 
@@ -64,38 +62,26 @@ def rprop_step(params: NetworkParams, grads: GradientSet, state: RPropState,
     sign, shrink it on a sign flip, then move by the step against the
     current sign. Zero gradient leaves both weight and step untouched."""
     params.check_congruent(grads)
-    new_params = params.copy()
-    new_state = RPropState(state.step_sizes.copy(), state.prev_grad_sign.copy(),
-                           state.prev_weight_delta.copy())
-    for name in PARAM_FIELDS:
-        w = getattr(new_params, name)
-        g = getattr(grads, name)
-        delta = getattr(new_state.step_sizes, name)
-        prev_sign = getattr(new_state.prev_grad_sign, name)
-        prev_dw = getattr(new_state.prev_weight_delta, name)
+    w = params.vector.copy()
+    delta = state.step_sizes.vector.copy()
+    sign = np.sign(grads.vector)
+    agree = state.prev_grad_sign.vector * sign
+    grew = agree > 0
+    flipped = agree < 0
+    delta[grew] = np.minimum(delta[grew] * config.eta_plus, config.delta_max)
+    delta[flipped] = np.maximum(delta[flipped] * config.eta_minus, config.delta_min)
 
-        sign = np.sign(g)
-        agree = prev_sign * sign
-        grew = agree > 0
-        flipped = agree < 0
-        delta[grew] = np.minimum(delta[grew] * config.eta_plus, config.delta_max)
-        delta[flipped] = np.maximum(delta[flipped] * config.eta_minus, config.delta_min)
+    if config.variant == "with_backtracking":
+        w[flipped] -= state.prev_weight_delta.vector[flipped]
+        sign = np.where(flipped, 0.0, sign)  # skip the next adaptation
 
-        if config.variant == "with_backtracking":
-            w[flipped] -= prev_dw[flipped]
-            sign = np.where(flipped, 0.0, sign)  # skip the next adaptation
-
-        dw = -delta * sign
-        w += dw
-        prev_sign[...] = sign
-        prev_dw[...] = dw
-    return new_params, new_state
+    dw = -delta * sign
+    w += dw
+    return params.with_flat(w), RPropState(params.with_flat(delta),
+                                           params.with_flat(sign), params.with_flat(dw))
 
 
 def gd_step(params: NetworkParams, grads: GradientSet, config: GDConfig) -> NetworkParams:
     """Plain batch gradient descent: w <- w - lr * dE/dw."""
     params.check_congruent(grads)
-    new_params = params.copy()
-    for w, g in zip(new_params.arrays(), grads.arrays()):
-        w -= config.learning_rate * g
-    return new_params
+    return params.with_flat(params.vector - config.learning_rate * grads.vector)

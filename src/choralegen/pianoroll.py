@@ -134,7 +134,8 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
             events.append(NoteEvent(spec.min_pitch + col, start * tps,
                                     (len(column) - start) * tps))
     events.sort(key=lambda e: (e.onset_ticks, e.pitch))
-    ppq = max(1, round(tps / roll.step_duration))
+    # SMF stores PPQ in 15 bits; at the cap a step spans slightly more time.
+    ppq = min(max(1, round(tps / roll.step_duration)), 0x7FFF)
     return write_midi(events, ppq)
 
 

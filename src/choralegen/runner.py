@@ -16,7 +16,7 @@ import numpy as np
 from .bptt import add_into, backward
 from .errors import EmptyCorpus, NonFiniteLoss
 from .metrics import frame_accuracy
-from .network import (NetworkParams, StepState, forward_sequence, forward_step)
+from .network import NetworkParams, forward_sequence, forward_step
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
 from .pianoroll import PianoRoll, to_supervised
@@ -66,25 +66,21 @@ class GenerationConfig:
 
 
 def _sequence_grad(params, inputs, targets, window, loss_scale):
-    """Forward + backward, optionally as truncated-BPTT chunks with state
-    carried across chunk boundaries but gradients confined to each chunk.
+    """Forward + backward in truncated-BPTT chunks of `window` steps (one
+    chunk, full BPTT, when window is None), with state carried across chunk
+    boundaries but gradients confined to each chunk.
     Returns (grads, sum of squared errors)."""
-    if window is None or window >= len(inputs):
-        trace = forward_sequence(params, inputs)
-        grads = backward(params, trace, targets, loss_scale)
-        sq = float(np.sum((trace.y - targets) ** 2))
-        return grads, sq
+    window = window or len(inputs)
     grads = params.zeros_like()
     sq = 0.0
-    state = StepState.zeros(params.num_blocks)
-    total = targets.size
+    state = None
     for start in range(0, len(inputs), window):
         chunk_in = inputs[start : start + window]
         chunk_tg = targets[start : start + window]
         trace = forward_sequence(params, chunk_in, init_state=state)
-        state = StepState(trace.cell_states[-1].copy(), trace.block_outputs[-1].copy())
+        state = trace.final_state()
         # Rescale so chunk gradients sum to the whole-sequence MSE gradient.
-        scale = loss_scale * chunk_tg.size / total
+        scale = loss_scale * chunk_tg.size / targets.size
         add_into(grads, backward(params, trace, chunk_tg, scale))
         sq += float(np.sum((trace.y - chunk_tg) ** 2))
     return grads, sq
@@ -167,16 +163,14 @@ def generate(params: NetworkParams, seed_frames: np.ndarray,
     if seed_frames.ndim != 2 or seed_frames.shape[0] < 1:
         raise ValueError("seed must be a non-empty (S, 88) array")
     steps = config.num_steps if num_steps is None else num_steps
-    state = StepState.zeros(params.num_blocks)
-    y = None
-    for row in seed_frames:
-        y, state, _ = forward_step(params, row, state)
+    seeded = forward_sequence(params, seed_frames)
+    y, state = seeded.y[-1], seeded.final_state()
     rows = list(seed_frames)
     for _ in range(steps):
         frame = _threshold_frame(y, config)
         rows.append(frame)
         feed = frame if config.feedback == "binary" else y
-        y, state, _ = forward_step(params, feed, state)
+        y, state = forward_step(params, feed, state)
     return PianoRoll(np.array(rows), source_id="generated")
 
 

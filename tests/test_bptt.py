@@ -130,3 +130,53 @@ def test_finite_diff_rejects_bad_h():
     params, inputs, targets = random_instance(0)
     with pytest.raises(ValueError):
         finite_diff_gradient(params, inputs, targets, h=0.0)
+
+
+def per_step_reference(params, inputs, targets):
+    """Forward and backward one timestep and one gate at a time, with a
+    separate outer product per weight matrix: (predictions, gradients)."""
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+    gates = "ifoc"
+    nb = params.num_blocks
+    c, h, steps = np.zeros(nb), np.zeros(nb), []
+    for x in inputs:
+        z = {g: getattr(params, "wx_" + g) @ x + getattr(params, "wh_" + g) @ h
+             + getattr(params, "b_" + g) for g in gates}
+        a = {g: sig(z[g]) for g in "ifo"}
+        a["c"] = np.tanh(z["c"])
+        c_prev, h_prev = c, h
+        c = a["f"] * c + a["i"] * a["c"]
+        h = a["o"] * np.tanh(c)
+        steps.append((x, a, c_prev, h_prev, c, h, sig(params.w_out @ h + params.b_out)))
+    grads = params.zeros_like()
+    dh_next, dc_next = np.zeros(nb), np.zeros(nb)
+    for t in range(len(steps) - 1, -1, -1):
+        x, a, c_prev, h_prev, c, h, y = steps[t]
+        dz_y = 2.0 * (y - targets[t]) / targets.size * y * (1.0 - y)
+        grads.w_out[...] += np.outer(dz_y, h)
+        grads.b_out[...] += dz_y
+        dh = params.w_out.T @ dz_y + dh_next
+        dc = dh * a["o"] * (1.0 - np.tanh(c) ** 2) + dc_next
+        dz = {"i": dc * a["c"] * a["i"] * (1.0 - a["i"]),
+              "f": dc * c_prev * a["f"] * (1.0 - a["f"]),
+              "o": dh * np.tanh(c) * a["o"] * (1.0 - a["o"]),
+              "c": dc * a["i"] * (1.0 - a["c"] ** 2)}
+        dh_next = np.zeros(nb)
+        for g in gates:
+            getattr(grads, "wx_" + g)[...] += np.outer(dz[g], x)
+            getattr(grads, "wh_" + g)[...] += np.outer(dz[g], h_prev)
+            getattr(grads, "b_" + g)[...] += dz[g]
+            dh_next += getattr(params, "wh_" + g).T @ dz[g]
+        dc_next = dc * a["f"]
+    return np.array([s[-1] for s in steps]), grads
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_per_step_reference(seed):
+    params, inputs, targets = random_instance(seed, ni=4, nb=5, no=3, length=9)
+    trace = forward_sequence(params, inputs)
+    y, expected = per_step_reference(params, inputs, targets)
+    grads = backward(params, trace, targets)
+    assert np.allclose(trace.y, y, rtol=1e-13, atol=0)
+    scale = np.max(np.abs(expected.flatten()))
+    assert np.max(np.abs(grads.flatten() - expected.flatten())) <= 1e-12 * scale

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choralegen.errors import EmptyCorpus, ShapeMismatch
@@ -89,6 +89,8 @@ def test_swap_symmetry():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
+@example(170)  # P == R, where 2PR/(P+R) rounds one ulp below both
+@example(5421)
 def test_oracle_equivalence(seed):
     pred, targ = random_pair(seed)
     tp, fp, fn = brute_force_counts(pred, targ)

@@ -1,10 +1,18 @@
+import os
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from choralegen import model_io, network
 from choralegen.errors import ChecksumMismatch, VersionMismatch
 from choralegen.model_io import (deserialize_model, load_model, save_model,
                                  serialize_model)
 from choralegen.network import NetworkConfig, init_params
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "model_v1.chlf")
 
 
 def params_fixture():
@@ -35,8 +43,6 @@ def test_unsupported_version():
     data = bytearray(serialize_model(params_fixture()))
     data[4] = 99
     # version byte is covered by the checksum, so fix it up
-    import struct
-    import zlib
     body = bytes(data[4:-4])
     with pytest.raises(VersionMismatch):
         deserialize_model(data[:4] + body + struct.pack("<I", zlib.crc32(body)))
@@ -62,3 +68,32 @@ def test_extreme_values_survive(tmp_path):
     path = str(tmp_path / "model.chlf")
     save_model(path, params)
     assert np.array_equal(load_model(path).flatten(), params.flatten())
+
+
+def test_golden_v1_file_loads_and_reproduces():
+    # Written by the original field-by-field implementation.
+    with open(GOLDEN, "rb") as fh:
+        golden = fh.read()
+    params = params_fixture()
+    assert serialize_model(params) == golden
+    loaded = deserialize_model(golden)
+    for mine, theirs in zip(loaded.arrays(), params.arrays()):
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def with_header(num_inputs, num_blocks, num_outputs, count):
+    body = struct.pack("<IIIIQ", 1, num_inputs, num_blocks, num_outputs, count)
+    return b"CHLF" + body + struct.pack("<I", zlib.crc32(body))
+
+
+def refuse_to_build(*args):
+    raise AssertionError("parameters built from an unchecked header")
+
+
+@pytest.mark.parametrize("sizes", [(88, 10**6, 88, 0), (0, 4, 3, 0), (5, 0, 3, 15),
+                                   (5, 4, 3, 10**12)])
+def test_bad_header_rejected_before_allocation(monkeypatch, sizes):
+    for module in (model_io, network):
+        monkeypatch.setattr(module, "NetworkParams", refuse_to_build)
+    with pytest.raises(ChecksumMismatch):
+        deserialize_model(with_header(*sizes))

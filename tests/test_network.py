@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from choralegen.errors import LengthMismatch
+from choralegen.errors import LengthMismatch, NonFiniteActivation
 from choralegen.network import (NetworkConfig, StepState, forward_sequence,
                                 forward_step, init_params, mse_loss,
                                 param_count, sigmoid)
@@ -41,7 +41,7 @@ def test_init_scale_zero():
 
 def test_zero_params_predict_half():
     params = init_params(small_config(init_scale=0.0))
-    y, _, _ = forward_step(params, np.ones(3), StepState.zeros(4))
+    y, _ = forward_step(params, np.ones(3), StepState.zeros(4))
     assert np.all(y == 0.5)
 
 
@@ -53,7 +53,7 @@ def test_cell_decay_closed_form():
     state = StepState(c0.copy(), np.zeros(4))
     decay = float(sigmoid(np.array([1.0]))[0])
     for t in range(1, 4):
-        _, state, _ = forward_step(params, np.zeros(3), state)
+        _, state = forward_step(params, np.zeros(3), state)
         assert np.allclose(state.cell_states, decay ** t * c0, rtol=1e-12)
 
 
@@ -88,6 +88,15 @@ def test_forward_deterministic():
     t1 = forward_sequence(params, x)
     t2 = forward_sequence(params, x)
     assert np.array_equal(t1.y, t2.y)
+
+
+def test_non_finite_input_reports_its_timestep():
+    params = init_params(small_config())
+    inputs = np.zeros((6, 3))
+    inputs[3] = np.inf  # inf - inf in the gate products gives NaN
+    with pytest.raises(NonFiniteActivation) as info:
+        forward_sequence(params, inputs)
+    assert info.value.timestep == 3
 
 
 def test_mse_identity():

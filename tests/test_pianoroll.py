@@ -10,7 +10,7 @@ from choralegen.pianoroll import (PianoRoll, QuantizationSpec,
                                   format_pianoroll_text, load_corpus,
                                   parse_pianoroll_text, quantize, render_midi,
                                   to_supervised)
-from choralegen.smf import NoteEvent, parse_midi
+from choralegen.smf import NoteEvent, parse_midi, write_midi
 
 SPEC = QuantizationSpec(ticks_per_step=240)
 
@@ -132,3 +132,15 @@ def test_load_corpus_empty(tmp_path):
     os.makedirs(tmp_path / "train")
     with pytest.raises(EmptyCorpus):
         load_corpus(str(tmp_path))
+
+
+def test_render_caps_ppq_of_a_ppq_32767_seed():
+    # 0.5 quarter notes at PPQ 32767 round to 16384 ticks per step, which
+    # would ask for PPQ 32768; the rendered file caps PPQ at 32767.
+    events, ppq = parse_midi(write_midi([NoteEvent(60, 0, 3 * 16384)], 0x7FFF))
+    spec = QuantizationSpec.for_ppq(ppq, 0.5)
+    roll = quantize(events, spec)
+    again, again_ppq = parse_midi(render_midi(roll, spec))
+    assert again_ppq == 0x7FFF
+    assert QuantizationSpec.for_ppq(again_ppq, 0.5) == spec
+    assert np.array_equal(quantize(again, spec).frames, roll.frames)

@@ -1,4 +1,7 @@
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,3 +165,32 @@ def test_reconstruct_untrained_is_poor():
     params = init_params(NetworkConfig(num_blocks=8, init_scale=0.0))
     _, accuracy = reconstruct(params, constant_roll(), GenerationConfig())
     assert accuracy < 0.2
+
+
+TRAIN_AND_DUMP = """
+import sys
+from conftest import chorale_piece
+from choralegen.model_io import serialize_model
+from choralegen.network import NetworkConfig, init_params
+from choralegen.optim import RPropConfig
+from choralegen.runner import TrainConfig, train
+params, _ = train([chorale_piece(s) for s in range(6)],
+                  init_params(NetworkConfig(num_blocks=64, rng_seed=0)),
+                  RPropConfig(delta_max=0.1), TrainConfig(max_epochs=15, target_mse=1e-9))
+sys.stdout.buffer.write(serialize_model(params))
+"""
+
+
+def test_model_bytes_independent_of_blas_threads():
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+
+    def model_bytes(threads):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads))
+        return subprocess.run([sys.executable, "-c", TRAIN_AND_DUMP], env=env,
+                              capture_output=True, check=True).stdout
+
+    one = model_bytes(1)
+    assert one[:4] == b"CHLF"
+    assert model_bytes(2) == one
