@@ -71,10 +71,10 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
+    gen_config = config.generation_config(num_steps=args.steps)
     params = model_io.load_model(args.model)
     seed_roll, spec = _load_roll(args.seed_midi, config.step_fraction)
-    gen_config = config.generation_config(num_steps=args.steps)
-    seed = seed_roll.frames[: max(gen_config.seed_frames, 1)]
+    seed = seed_roll.frames[: gen_config.seed_frames]
     roll = runner.generate(params, seed, gen_config)
     with open(args.out, "wb") as fh:
         fh.write(render_midi(roll, spec))

@@ -45,26 +45,34 @@ class RunConfig:
     top_k: int = 4
 
     def network_config(self) -> NetworkConfig:
-        return NetworkConfig(num_blocks=self.num_blocks, rng_seed=self.seed,
-                             init_scale=self.init_scale)
+        return _typed(NetworkConfig, num_blocks=self.num_blocks, rng_seed=self.seed,
+                      init_scale=self.init_scale)
 
     def optimizer_config(self) -> RPropConfig | GDConfig:
         if self.optimizer == "gd":
-            return GDConfig(learning_rate=self.learning_rate)
-        return RPropConfig(self.delta_zero, self.delta_min, self.delta_max,
-                           self.eta_plus, self.eta_minus, self.rprop_variant)
+            return _typed(GDConfig, learning_rate=self.learning_rate)
+        return _typed(RPropConfig, self.delta_zero, self.delta_min, self.delta_max,
+                      self.eta_plus, self.eta_minus, self.rprop_variant)
 
     def train_config(self) -> TrainConfig:
         window = self.truncation_window or None
-        return TrainConfig(self.max_epochs, self.target_mse, self.optimizer,
-                           window, self.log_every)
+        return _typed(TrainConfig, self.max_epochs, self.target_mse, self.optimizer,
+                      window, self.log_every)
 
     def generation_config(self, num_steps: int | None = None) -> GenerationConfig:
         if num_steps is None:
             num_steps = self.gen_steps
-        return GenerationConfig(self.threshold, num_steps,
-                                self.seed_frames, self.feedback, self.fallback,
-                                self.top_k)
+        return _typed(GenerationConfig, self.threshold, num_steps,
+                      self.seed_frames, self.feedback, self.fallback,
+                      self.top_k)
+
+
+def _typed(kind, *args, **kwargs):
+    """Build a typed config; a value it rejects becomes a ConfigError."""
+    try:
+        return kind(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -80,15 +80,22 @@ def frame_accuracy(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
 def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
              threshold: float = 0.9) -> EvalReport:
     """Teacher-forced one-step-ahead scoring: each input frame is ground
-    truth, the thresholded prediction is scored against the next frame."""
+    truth, the thresholded prediction is scored against the next frame.
+
+    The pieces run as one (T_max, N, 88) stack, zero-padded at the end;
+    the recurrence is causal, so padding does not change any real row.
+    """
     if not test_rolls:
         raise EmptyCorpus("empty test split")
+    sups = [to_supervised(roll) for roll in test_rolls]
+    stack = np.zeros((max(len(s.inputs) for s in sups), len(sups), params.num_inputs))
+    for n, sup in enumerate(sups):
+        stack[: len(sup.inputs), n] = sup.inputs
+    y = forward_sequence(params, stack).y
     report = EvalReport()
     pairs = []
-    for roll in test_rolls:
-        sup = to_supervised(roll)
-        trace = forward_sequence(params, sup.inputs)
-        predicted = (trace.y > threshold).astype(np.float64)
+    for n, (roll, sup) in enumerate(zip(test_rolls, sups)):
+        predicted = (y[: len(sup.inputs), n] > threshold).astype(np.float64)
         p, r, f1 = piece_prf(predicted, sup.targets)
         report.pieces.append(PieceScore(roll.source_id, p, r, f1,
                                         _count(predicted, sup.targets)))

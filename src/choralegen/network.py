@@ -115,10 +115,38 @@ def init_params(config: NetworkConfig) -> NetworkParams:
     return params
 
 
+def _sigmoid_inplace(a: np.ndarray):
+    """1/(1+exp(-a)) written into `a`. exp(-a) overflows to inf for
+    a < -709, which correctly gives 0; the caller ignores that overflow."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    np.divide(1.0, a, out=a)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-z) overflows to inf for z < -709, which correctly gives 0.
+    out = np.array(z, dtype=np.float64)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        _sigmoid_inplace(out)
+    return out
+
+
+def _lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray):
+    """One timestep of the LSTM equations, the only copy of them.
+
+    `z` holds the gate pre-activations (..., 4B) in the order i, f, o, c
+    and is overwritten with the activations: sigmoid i, f, o and tanh cell
+    input. The new cell state f*c + i*g goes to `c_out` and the block
+    output o*tanh(c_out) to `h_out`. The caller ignores overflow.
+    """
+    nb = c_out.shape[-1]
+    _sigmoid_inplace(z[..., : 3 * nb])
+    g = z[..., 3 * nb :]
+    np.tanh(g, out=g)
+    np.multiply(z[..., nb : 2 * nb], c, out=c_out)
+    c_out += z[..., :nb] * g
+    np.tanh(c_out, out=h_out)
+    h_out *= z[..., 2 * nb : 3 * nb]
 
 
 @dataclass
@@ -133,7 +161,8 @@ class StepState:
 
 @dataclass
 class ForwardTrace:
-    """Per-timestep activations, everything exact BPTT needs."""
+    """Per-timestep activations, everything exact BPTT needs. For a
+    (T, N, I) stack every array has the (T, N) leading axes."""
 
     x: np.ndarray            # (T, num_inputs)
     gates: np.ndarray        # (T, 4B): sigmoid i, f, o then tanh cell input
@@ -146,8 +175,8 @@ class ForwardTrace:
         return self.x.shape[0]
 
     def _gate(self, k: int) -> np.ndarray:
-        nb = self.cell_states.shape[1]
-        return self.gates[:, k * nb : (k + 1) * nb]
+        nb = self.cell_states.shape[-1]
+        return self.gates[..., k * nb : (k + 1) * nb]
 
     gate_in = property(lambda self: self._gate(0))
     gate_forget = property(lambda self: self._gate(1))
@@ -161,27 +190,37 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray,
                      init_state: StepState | None = None) -> ForwardTrace:
     """Run the whole sequence from a zero state (or a given one).
 
+    `inputs` is one sequence (T, I) or N sequences stacked step by step
+    (T, N, I); every array of the trace then has the same leading axes.
     The input projection of all timesteps is one matrix product; each step
     then adds one recurrent product into its row of the gate array.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] < 1:
-        raise ValueError("inputs must be a non-empty (T, num_inputs) array")
+    if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
+        raise ValueError("inputs must be a non-empty (T, num_inputs) or "
+                         "(T, N, num_inputs) array")
     init = init_state if init_state is not None else StepState.zeros(params.num_blocks)
     nb = params.num_blocks
-    cells = np.empty((len(inputs), nb))
-    outputs = np.empty((len(inputs), nb))
+    lead = inputs.shape[:-1]
+    cells = np.empty(lead + (nb,))
+    outputs = np.empty(lead + (nb,))
     c, h = init.cell_states, init.block_outputs
-    with np.errstate(invalid="ignore"):  # NaN is reported below, by timestep
-        gates = inputs @ params.w_x.T + params.b
+    # NaN is reported below, by timestep.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gates = inputs.reshape(-1, inputs.shape[-1]) @ params.w_x.T
+        gates += params.b
+        gates = gates.reshape(lead + (4 * nb,))
         for t, z in enumerate(gates):
-            z += params.w_h @ h
-            z[: 3 * nb] = sigmoid(z[: 3 * nb])
-            np.tanh(z[3 * nb :], out=z[3 * nb :])
-            c = cells[t] = z[nb : 2 * nb] * c + z[:nb] * z[3 * nb :]
-            h = outputs[t] = z[2 * nb : 3 * nb] * np.tanh(c)
-        y = sigmoid(outputs @ params.w_out.T + params.b_out)
-    finite = np.isfinite(cells).all(axis=1) & np.isfinite(y).all(axis=1)
+            z += h @ params.w_h.T
+            _lstm_cell(z, c, cells[t], outputs[t])
+            c, h = cells[t], outputs[t]
+        y = outputs.reshape(-1, nb) @ params.w_out.T
+        y += params.b_out
+        _sigmoid_inplace(y)
+    y = y.reshape(lead + (params.num_outputs,))
+    steps = len(inputs)
+    finite = (np.isfinite(cells.reshape(steps, -1)).all(axis=1)
+              & np.isfinite(y.reshape(steps, -1)).all(axis=1))
     if not finite.all():
         raise NonFiniteActivation(int(np.argmin(finite)))
     return ForwardTrace(inputs, gates, cells, outputs, y, init)

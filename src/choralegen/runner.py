@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bptt import add_into, backward
-from .errors import EmptyCorpus, NonFiniteLoss
+from .errors import (EmptyCorpus, NonFiniteActivation, NonFiniteGradient,
+                     NonFiniteLoss)
 from .metrics import frame_accuracy
-from .network import NetworkParams, forward_sequence, forward_step
+from .network import (NetworkParams, _lstm_cell, _sigmoid_inplace,
+                      forward_sequence)
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
 from .pianoroll import PianoRoll, to_supervised
@@ -37,6 +39,8 @@ class TrainConfig:
             raise ValueError("target_mse must be in (0, 1)")
         if self.optimizer not in ("rprop", "gd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.truncation_window is not None and self.truncation_window < 1:
+            raise ValueError("truncation_window must be >= 1 (None for full BPTT)")
 
 
 @dataclass
@@ -63,6 +67,10 @@ class GenerationConfig:
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
         if self.fallback not in ("silence", "top_k"):
             raise ValueError(f"unknown fallback {self.fallback!r}")
+        if self.num_steps < 0:
+            raise ValueError("num_steps must be >= 0")
+        if min(self.seed_frames, self.top_k) < 1:
+            raise ValueError("seed_frames and top_k must be >= 1")
 
 
 def _sequence_grad(params, inputs, targets, window, loss_scale):
@@ -110,11 +118,14 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
         start = time.perf_counter()
         grads = params.zeros_like()
         sq_sum = 0.0
-        for seq in sequences:
-            g, sq = _sequence_grad(params, seq.inputs, seq.targets,
-                                   config.truncation_window, loss_scale)
-            add_into(grads, g)
-            sq_sum += sq
+        try:
+            for seq in sequences:
+                g, sq = _sequence_grad(params, seq.inputs, seq.targets,
+                                       config.truncation_window, loss_scale)
+                add_into(grads, g)
+                sq_sum += sq
+        except (NonFiniteActivation, NonFiniteGradient) as exc:
+            raise NonFiniteLoss(epoch) from exc
         mse = sq_sum / total_entries
         if not np.isfinite(mse):
             raise NonFiniteLoss(epoch)
@@ -141,37 +152,53 @@ def format_history(history: TrainHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def predict_next(params: NetworkParams, history_frames: np.ndarray) -> np.ndarray:
-    """Probability vector for the frame following the given history."""
-    trace = forward_sequence(params, history_frames)
-    return trace.y[-1]
-
-
-def _threshold_frame(y: np.ndarray, config: GenerationConfig) -> np.ndarray:
-    frame = (y > config.threshold).astype(np.float64)
-    if frame.sum() == 0 and config.fallback == "top_k":
-        top = np.argsort(y)[-config.top_k:]
-        frame[top] = 1.0
-    return frame
-
-
 def generate(params: NetworkParams, seed_frames: np.ndarray,
              config: GenerationConfig, num_steps: int | None = None) -> PianoRoll:
     """Feed the seed, then free-run: threshold each prediction into a
-    binary frame, append it, and feed it (or the raw probabilities) back."""
+    binary frame, append it, and feed it (or the raw probabilities) back.
+
+    The seed runs as one `forward_sequence`; each free-running step then
+    reuses preallocated buffers and one fused [w_x | w_h] @ [x; h] product.
+    Finiteness is checked once at the end: `NonFiniteActivation` names the
+    row of the roll whose input produced the first bad value.
+    """
     seed_frames = np.asarray(seed_frames, dtype=np.float64)
     if seed_frames.ndim != 2 or seed_frames.shape[0] < 1:
         raise ValueError("seed must be a non-empty (S, 88) array")
     steps = config.num_steps if num_steps is None else num_steps
+    if steps < 0:
+        raise ValueError("num_steps must be >= 0")
     seeded = forward_sequence(params, seed_frames)
-    y, state = seeded.y[-1], seeded.final_state()
-    rows = list(seed_frames)
-    for _ in range(steps):
-        frame = _threshold_frame(y, config)
-        rows.append(frame)
-        feed = frame if config.feedback == "binary" else y
-        y, state = forward_step(params, feed, state)
-    return PianoRoll(np.array(rows), source_id="generated")
+    ni, nb = params.num_inputs, params.num_blocks
+    s = len(seed_frames)
+    rows = np.empty((s + steps, seed_frames.shape[1]))
+    rows[:s] = seed_frames
+    cells = np.empty((steps, nb))
+    ys = np.empty((steps, params.num_outputs))
+    w = np.hstack([params.w_x, params.w_h])
+    xh = np.empty(ni + nb)
+    h = xh[ni:]
+    h[...] = seeded.block_outputs[-1]
+    c, y = seeded.cell_states[-1], seeded.y[-1]
+    z = np.empty(4 * nb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            frame = rows[s + k]
+            np.greater(y, config.threshold, out=frame)
+            if config.fallback == "top_k" and not np.count_nonzero(frame):
+                frame[np.argsort(y)[-config.top_k:]] = 1.0
+            xh[:ni] = frame if config.feedback == "binary" else y
+            np.matmul(w, xh, out=z)
+            z += params.b
+            _lstm_cell(z, c, cells[k], h)
+            c, y = cells[k], ys[k]
+            np.matmul(params.w_out, h, out=y)
+            y += params.b_out
+            _sigmoid_inplace(y)
+    finite = np.isfinite(cells).all(axis=1) & np.isfinite(ys).all(axis=1)
+    if not finite.all():
+        raise NonFiniteActivation(s + int(np.argmin(finite)))
+    return PianoRoll(rows, source_id="generated")
 
 
 def reconstruct(params: NetworkParams, original: PianoRoll,

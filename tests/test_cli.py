@@ -95,6 +95,24 @@ def test_generate_zero_steps_round_trips_seed(workspace, tmp_path):
     assert np.array_equal(roll.frames, alternating_frames()[:1])
 
 
+def test_generate_negative_steps_exit_1(workspace, capsys):
+    assert main(["generate", "--model", str(workspace / "model.chlf"),
+                 "--seed-midi", str(workspace / "corpus" / "train" / "piece.mid"),
+                 "--steps", "-5", "--out", str(workspace / "gen.mid")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "num_steps" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workspace / "gen.mid").exists()
+
+
+def test_negative_truncation_window_exit_1(workspace, capsys):
+    (workspace / "run.cfg").write_text(CONFIG_TEXT + "truncation_window = -3\n")
+    assert main(train_args(workspace)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "truncation_window" in err
+    assert not (workspace / "model.chlf").exists()
+
+
 def test_reconstruct_command(workspace, capsys):
     assert main(train_args(workspace)) == 0
     assert main(["reconstruct", "--model", str(workspace / "model.chlf"),

@@ -130,6 +130,20 @@ def test_evaluate_untrained_zero_weights():
     assert report.macro_f1 == 0.0 and report.frame_accuracy == 0.0
 
 
+def test_evaluate_ragged_split_scores_each_piece_alone():
+    # Pieces run as one zero-padded stack; padding must not leak into the
+    # shorter pieces' scores.
+    params = init_params(NetworkConfig(num_blocks=16, rng_seed=2, init_scale=1.5))
+    rolls = [PianoRoll(random_pair(seed, shape=(length, 88), density=0.2)[0],
+                       source_id=f"p{seed}")
+             for seed, length in zip(range(4), (9, 30, 2, 17))]
+    together = evaluate(params, rolls, threshold=0.7)
+    for roll, score in zip(rolls, together.pieces):
+        alone = evaluate(params, [roll], threshold=0.7).pieces[0]
+        assert score == alone
+    assert 0 < together.frame_accuracy < 1
+
+
 def test_evaluate_empty_split():
     params = init_params(NetworkConfig(num_blocks=8))
     with pytest.raises(EmptyCorpus):

@@ -99,6 +99,34 @@ def test_non_finite_input_reports_its_timestep():
     assert info.value.timestep == 3
 
 
+def test_batched_forward_matches_per_sequence():
+    # A ragged (T_max, N, I) stack, zero-padded at the end: every real row
+    # agrees with running its sequence alone.
+    params = init_params(small_config(num_inputs=88, num_blocks=32, num_outputs=88))
+    rng = np.random.Generator(np.random.PCG64(3))
+    seqs = [(rng.uniform(0, 1, (length, 88)) < 0.1).astype(float)
+            for length in (17, 40, 1, 29, 33)]
+    stack = np.zeros((40, len(seqs), 88))
+    for n, seq in enumerate(seqs):
+        stack[: len(seq), n] = seq
+    batched = forward_sequence(params, stack)
+    assert batched.y.shape == (40, len(seqs), 88)
+    for n, seq in enumerate(seqs):
+        alone = forward_sequence(params, seq)
+        for name in ("gates", "cell_states", "block_outputs", "y"):
+            np.testing.assert_allclose(getattr(batched, name)[: len(seq), n],
+                                       getattr(alone, name), rtol=0, atol=1e-12)
+
+
+def test_batched_non_finite_input_reports_its_timestep():
+    params = init_params(small_config())
+    inputs = np.zeros((6, 2, 3))
+    inputs[4, 1] = np.inf
+    with pytest.raises(NonFiniteActivation) as info:
+        forward_sequence(params, inputs)
+    assert info.value.timestep == 4
+
+
 def test_mse_identity():
     t = np.ones((3, 88))
     assert mse_loss(t, t) == 0.0

@@ -6,12 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from choralegen.errors import EmptyCorpus
-from choralegen.network import NetworkConfig, init_params
+from choralegen.errors import EmptyCorpus, NonFiniteActivation, NonFiniteLoss
+from choralegen.network import NetworkConfig, forward_sequence, init_params
 from choralegen.optim import RPropConfig
 from choralegen.pianoroll import PianoRoll
 from choralegen.runner import (GenerationConfig, TrainConfig, format_history,
-                               generate, predict_next, reconstruct, train)
+                               generate, reconstruct, train)
 
 
 def constant_roll(num_frames=6):
@@ -85,18 +85,22 @@ def test_format_history():
     assert lines[1].startswith("0\t")
 
 
-def test_predict_next_zero_weights():
+def next_frame(params, history):
+    return forward_sequence(params, history).y[-1]
+
+
+def test_next_frame_zero_weights():
     params = init_params(NetworkConfig(num_blocks=8, init_scale=0.0))
-    y = predict_next(params, np.zeros((3, 88)))
+    y = next_frame(params, np.zeros((3, 88)))
     assert np.all(y == 0.5)
 
 
-def test_predict_next_deterministic():
+def test_next_frame_deterministic():
     params = small_net(seed=2)
     history = np.zeros((4, 88))
     history[:, 5] = 1.0
-    assert np.array_equal(predict_next(params, history),
-                          predict_next(params, history))
+    assert np.array_equal(next_frame(params, history),
+                          next_frame(params, history))
 
 
 @functools.lru_cache(maxsize=1)
@@ -109,9 +113,9 @@ def trained_alternation(target=1e-5):
     return params, roll
 
 
-def test_predict_next_learned_alternation():
+def test_next_frame_learned_alternation():
     params, roll = trained_alternation()
-    y = predict_next(params, roll.frames[:1])
+    y = next_frame(params, roll.frames[:1])
     assert y[50] > 0.9  # frame B's pitch
     assert np.all(np.delete(y, 50) < 0.9)
 
@@ -121,6 +125,67 @@ def test_generate_zero_steps_returns_seed():
     seed = alternating_roll().frames[:3]
     out = generate(params, seed, GenerationConfig(num_steps=5), num_steps=0)
     assert np.array_equal(out.frames, seed)
+
+
+def test_negative_counts_rejected():
+    for bad in (dict(num_steps=-1), dict(seed_frames=0), dict(top_k=0), dict(top_k=-2)):
+        with pytest.raises(ValueError):
+            GenerationConfig(**bad)
+    with pytest.raises(ValueError):
+        generate(small_net(), alternating_roll().frames[:1], GenerationConfig(),
+                 num_steps=-5)
+
+
+def test_truncation_window_below_one_rejected():
+    for window in (0, -3):
+        with pytest.raises(ValueError):
+            TrainConfig(truncation_window=window)
+
+
+def test_non_finite_parameter_raises_non_finite_loss():
+    params = small_net()
+    params.vector[7] = np.nan
+    with pytest.raises(NonFiniteLoss) as info:
+        train([constant_roll()], params, RPropConfig(), TrainConfig(max_epochs=3))
+    assert info.value.epoch == 0
+
+
+def test_generate_reports_row_of_non_finite_step():
+    # Pitches 3 and 4 are silent in the seed and switched on by the output
+    # bias in the first generated row; together they overflow input-gate
+    # row 0 to +inf, which meets its -inf bias: NaN in the step fed by row 3.
+    params = init_params(NetworkConfig(num_blocks=8, init_scale=0.0))
+    params.b_out[[3, 4]] = 10.0
+    params.w_x[0, [3, 4]] = 1e308
+    params.b[0] = -np.inf
+    seed = np.zeros((3, 88))
+    with pytest.raises(NonFiniteActivation) as info:
+        generate(params, seed, GenerationConfig(num_steps=4))
+    assert info.value.timestep == 3
+
+
+@pytest.mark.parametrize("mode", [dict(feedback="binary", threshold=0.8),
+                                  dict(feedback="raw", threshold=0.8),
+                                  dict(fallback="top_k", top_k=3, threshold=0.95)])
+def test_generate_matches_teacher_forced_forward(mode):
+    # Each generated frame is the threshold of forward_sequence's prediction
+    # from every input before it: the generated frames themselves, or the
+    # fed-back probabilities in raw mode. A prediction within 1e-9 of the
+    # threshold may round to either side.
+    config = GenerationConfig(num_steps=24, **mode)
+    params = init_params(NetworkConfig(num_blocks=16, rng_seed=4, init_scale=1.5))
+    seed = alternating_roll().frames[:3]
+    rows = generate(params, seed, config).frames
+    inputs = list(seed)
+    for t in range(len(seed), len(rows)):
+        y = forward_sequence(params, np.array(inputs)).y[-1]
+        expected = (y > config.threshold).astype(float)
+        if config.fallback == "top_k" and not expected.any():
+            expected[np.argsort(y)[-config.top_k:]] = 1.0
+        if not np.any(np.abs(y - config.threshold) < 1e-9):
+            assert np.array_equal(rows[t], expected), t
+        inputs.append(rows[t] if config.feedback == "binary" else y)
+    assert rows[len(seed):].any()
 
 
 def test_untrained_net_generates_silence():
@@ -170,18 +235,26 @@ def test_reconstruct_untrained_is_poor():
 TRAIN_AND_DUMP = """
 import sys
 from conftest import chorale_piece
+from choralegen.metrics import evaluate
 from choralegen.model_io import serialize_model
 from choralegen.network import NetworkConfig, init_params
 from choralegen.optim import RPropConfig
-from choralegen.runner import TrainConfig, train
+from choralegen.runner import GenerationConfig, TrainConfig, generate, train
 params, _ = train([chorale_piece(s) for s in range(6)],
                   init_params(NetworkConfig(num_blocks=64, rng_seed=0)),
                   RPropConfig(delta_max=0.1), TrainConfig(max_epochs=15, target_mse=1e-9))
-sys.stdout.buffer.write(serialize_model(params))
+held_out = [chorale_piece(s, length) for s, length in zip(range(6, 11), (20, 45, 32, 27, 38))]
+roll = generate(params, held_out[0].frames[:2],
+                GenerationConfig(threshold=0.5, num_steps=48, fallback="top_k"))
+report = evaluate(params, held_out, threshold=0.5)
+sys.stdout.buffer.write(serialize_model(params) + roll.frames.tobytes()
+                        + repr(report).encode())
 """
 
 
 def test_model_bytes_independent_of_blas_threads():
+    # Covers training, the fused-GEMV generation steps and the batched
+    # (T_max, N, 88) forward of evaluate on a ragged split.
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
 
@@ -193,4 +266,5 @@ def test_model_bytes_independent_of_blas_threads():
 
     one = model_bytes(1)
     assert one[:4] == b"CHLF"
+    assert b"EvalReport(pieces=[PieceScore(" in one
     assert model_bytes(2) == one
