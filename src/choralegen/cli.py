@@ -16,7 +16,7 @@ from . import bptt, metrics, model_io, runner
 from .config import load_run_config
 from .errors import ChecksumMismatch, Error, NonFiniteLoss, VersionMismatch
 from .network import PARAM_FIELDS, NetworkConfig, forward_sequence, init_params
-from .pianoroll import QuantizationSpec, load_corpus, parse_midi, quantize, render_midi
+from .pianoroll import load_corpus, load_roll, render_midi
 
 CORPUS_ENV = "CHORALEGEN_CORPUS"
 
@@ -37,13 +37,6 @@ def _load_config(args):
     if getattr(args, "threshold", None) is not None:
         config.threshold = args.threshold
     return config
-
-
-def _load_roll(path: str, step_fraction: float):
-    with open(path, "rb") as fh:
-        events, ppq = parse_midi(fh.read())
-    spec = QuantizationSpec.for_ppq(ppq, step_fraction)
-    return quantize(events, spec, step_fraction, os.path.basename(path)), spec
 
 
 def cmd_train(args) -> int:
@@ -73,7 +66,7 @@ def cmd_generate(args) -> int:
     config = _load_config(args)
     gen_config = config.generation_config(num_steps=args.steps)
     params = model_io.load_model(args.model)
-    seed_roll, spec = _load_roll(args.seed_midi, config.step_fraction)
+    seed_roll, spec = load_roll(args.seed_midi, config.step_fraction)
     seed = seed_roll.frames[: gen_config.seed_frames]
     roll = runner.generate(params, seed, gen_config)
     with open(args.out, "wb") as fh:
@@ -97,7 +90,7 @@ def cmd_evaluate(args) -> int:
 def cmd_reconstruct(args) -> int:
     config = _load_config(args)
     params = model_io.load_model(args.model)
-    original, spec = _load_roll(args.midi, config.step_fraction)
+    original, spec = load_roll(args.midi, config.step_fraction)
     gen_config = config.generation_config()
     rendition, accuracy = runner.reconstruct(params, original, gen_config)
     print(f"frame accuracy: {accuracy:.4f}")

@@ -6,6 +6,7 @@ Lines starting with '#' and blank lines are ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -99,6 +100,8 @@ def parse_run_config(text: str) -> RunConfig:
                 setattr(config, key, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
+        if key == "step_fraction" and not 0 < config.step_fraction < math.inf:
+            raise ConfigError(f"line {lineno}: step_fraction must be finite and > 0")
     return config
 
 

@@ -21,6 +21,10 @@ class TooShort(Error):
     """A piano roll is too short to form input/target pairs."""
 
 
+class TooLong(Error):
+    """Quantized note events would span more than `pianoroll.MAX_STEPS` steps."""
+
+
 class EmptyCorpus(Error):
     """No usable training data was found."""
 

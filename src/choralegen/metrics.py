@@ -18,10 +18,23 @@ class FrameCounts:
     fp: int = 0
     fn: int = 0
 
-    def add(self, other: "FrameCounts"):
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
+    def __add__(self, other: "FrameCounts") -> "FrameCounts":
+        return FrameCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
+
+    def prf(self) -> tuple[float, float, float]:
+        """Precision, recall and F1 of these counts (see `piece_prf`)."""
+        precision = self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
+        recall = self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
+        if not precision + recall:
+            return precision, recall, 0.0
+        # Rounding can put 2PR/(P+R) one ulp outside [min(P, R), max(P, R)].
+        f1 = 2 * precision * recall / (precision + recall)
+        return precision, recall, min(max(f1, min(precision, recall)), max(precision, recall))
+
+    def accuracy(self) -> float:
+        """TP / (TP + FP + FN); empty tallies count as perfect."""
+        denom = self.tp + self.fp + self.fn
+        return self.tp / denom if denom else 1.0
 
 
 @dataclass
@@ -58,23 +71,13 @@ def piece_prf(predicted: np.ndarray, target: np.ndarray) -> tuple[float, float, 
     Conventions: empty prediction set gives P = 0; empty target set gives
     R = 0; P + R = 0 gives F1 = 0.
     """
-    c = _count(np.asarray(predicted), np.asarray(target))
-    precision = c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0
-    recall = c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0
-    if not precision + recall:
-        return precision, recall, 0.0
-    # Rounding can put 2PR/(P+R) one ulp outside [min(P, R), max(P, R)].
-    f1 = 2 * precision * recall / (precision + recall)
-    return precision, recall, min(max(f1, min(precision, recall)), max(precision, recall))
+    return _count(np.asarray(predicted), np.asarray(target)).prf()
 
 
 def frame_accuracy(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
     """Acc over every frame of every piece; empty tallies count as perfect."""
-    total = FrameCounts()
-    for predicted, target in pairs:
-        total.add(_count(np.asarray(predicted), np.asarray(target)))
-    denom = total.tp + total.fp + total.fn
-    return total.tp / denom if denom else 1.0
+    return sum((_count(np.asarray(p), np.asarray(t)) for p, t in pairs),
+               FrameCounts()).accuracy()
 
 
 def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
@@ -92,16 +95,12 @@ def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
     for n, sup in enumerate(sups):
         stack[: len(sup.inputs), n] = sup.inputs
     y = forward_sequence(params, stack).y
-    report = EvalReport()
-    pairs = []
-    for n, (roll, sup) in enumerate(zip(test_rolls, sups)):
-        predicted = (y[: len(sup.inputs), n] > threshold).astype(np.float64)
-        p, r, f1 = piece_prf(predicted, sup.targets)
-        report.pieces.append(PieceScore(roll.source_id, p, r, f1,
-                                        _count(predicted, sup.targets)))
-        pairs.append((predicted, sup.targets))
+    counts = [_count(y[: len(sup.inputs), n] > threshold, sup.targets)
+              for n, sup in enumerate(sups)]
+    report = EvalReport([PieceScore(roll.source_id, *c.prf(), c)
+                         for roll, c in zip(test_rolls, counts)])
     report.macro_f1 = float(np.mean([s.f1 for s in report.pieces]))
-    report.frame_accuracy = frame_accuracy(pairs)
+    report.frame_accuracy = sum(counts, FrameCounts()).accuracy()
     return report
 
 

@@ -6,12 +6,13 @@ C8 (MIDI 108). Row t holds every pitch sounding during step t.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyAfterQuantization, EmptyCorpus, Error, TooShort
+from .errors import EmptyAfterQuantization, EmptyCorpus, Error, TooLong, TooShort
 from .smf import NoteEvent, parse_midi, write_midi
 
 NUM_PITCHES = 88
@@ -20,29 +21,34 @@ MIN_PITCH = 21  # A0
 # Fraction of a quarter note covered by one roll step; 0.5 = eighth note.
 DEFAULT_STEP_FRACTION = 0.5
 
+# Longest roll `quantize` builds. File ticks can ask for far more: one
+# 4-byte delta at PPQ 1 is 2^27 steps, a 94 GB roll.
+MAX_STEPS = 1 << 16
+
 
 @dataclass(frozen=True)
 class QuantizationSpec:
+    """The roll's time grid: one step is `ticks_per_step` ticks of the
+    MIDI file and `step_fraction` quarter notes."""
+
     ticks_per_step: int
-    min_pitch: int = MIN_PITCH
-    num_pitches: int = NUM_PITCHES
+    step_fraction: float = DEFAULT_STEP_FRACTION
 
     def __post_init__(self):
         if self.ticks_per_step < 1:
             raise ValueError("ticks_per_step must be >= 1")
-        if self.min_pitch + self.num_pitches - 1 > 127:
-            raise ValueError("pitch range exceeds MIDI 127")
+        if not 0 < self.step_fraction < math.inf:
+            raise ValueError("step_fraction must be finite and > 0")
 
     @classmethod
-    def for_ppq(cls, ppq: int, step_fraction: float = DEFAULT_STEP_FRACTION, **kw):
+    def for_ppq(cls, ppq: int, step_fraction: float = DEFAULT_STEP_FRACTION):
         """Spec whose step covers `step_fraction` quarter notes of a file with this PPQ."""
-        return cls(ticks_per_step=max(1, round(ppq * step_fraction)), **kw)
+        return cls(max(1, round(ppq * step_fraction)), step_fraction)
 
 
 @dataclass
 class PianoRoll:
     frames: np.ndarray  # (T, 88) float64 of {0.0, 1.0}
-    step_duration: float = DEFAULT_STEP_FRACTION  # quarter notes per row
     source_id: str = ""
 
     def __post_init__(self):
@@ -73,70 +79,66 @@ def to_supervised(roll: PianoRoll) -> SupervisedSequence:
     return SupervisedSequence(roll.frames[:-1], roll.frames[1:], roll.source_id)
 
 
-def _fold_pitch(pitch: int, min_pitch: int, num_pitches: int) -> int:
-    """Transpose by octaves until the pitch fits the roll's range."""
-    while pitch < min_pitch:
-        pitch += 12
-    while pitch > min_pitch + num_pitches - 1:
-        pitch -= 12
-    return pitch
-
-
-def _round_half_up_div(numerator: int, denominator: int) -> int:
-    return (2 * numerator + denominator) // (2 * denominator)
-
-
 def quantize(events: list[NoteEvent], spec: QuantizationSpec,
-             step_duration: float = DEFAULT_STEP_FRACTION,
              source_id: str = "") -> PianoRoll:
     """Snap note events onto the step grid as binary frames.
 
     Onsets/offsets round half-up to the nearest grid line; notes that
     would vanish are kept at one step. Out-of-range pitches are folded
-    by octaves into the roll's range.
+    by octaves into the roll's range. A roll longer than MAX_STEPS
+    raises TooLong before it is allocated.
     """
     if not events:
         raise EmptyAfterQuantization("no events to quantize")
-    spans = []
-    for ev in events:
-        start = _round_half_up_div(ev.onset_ticks, spec.ticks_per_step)
-        end = _round_half_up_div(ev.onset_ticks + ev.duration_ticks, spec.ticks_per_step)
-        if end <= start:
-            end = start + 1
-        pitch = _fold_pitch(ev.pitch, spec.min_pitch, spec.num_pitches)
-        spans.append((start, end, pitch - spec.min_pitch))
-    num_steps = max(end for _, end, _ in spans)
-    frames = np.zeros((num_steps, spec.num_pitches))
-    for start, end, col in spans:
-        frames[start:end, col] = 1.0
-    return PianoRoll(frames, step_duration, source_id)
+    notes = np.array([(ev.onset_ticks, ev.onset_ticks + ev.duration_ticks, ev.pitch)
+                      for ev in events], dtype=np.int64)
+    # Any step longer than twice the last tick rounds every edge to 0, so
+    # capping it there changes nothing and keeps the sums inside int64.
+    tps = min(spec.ticks_per_step, 2 * int(notes[:, 1].max()) + 1)
+    start, end = (notes[:, :2] + tps // 2).T // tps
+    end = np.maximum(end, start + 1)
+    num_steps = int(end.max())
+    if num_steps > MAX_STEPS:
+        raise TooLong(f"{source_id or 'roll'}: {num_steps} steps exceed "
+                      f"MAX_STEPS = {MAX_STEPS}")
+    col = notes[:, 2] - MIN_PITCH
+    col = np.clip(col, col % 12, NUM_PITCHES - 1 - (NUM_PITCHES - 1 - col) % 12)
+    # +1 where a note starts, -1 where it ends; a cell sounds while the
+    # running sum down its column is positive (overlaps merge).
+    size = (num_steps + 1) * NUM_PITCHES
+    marks = np.bincount(start * NUM_PITCHES + col, minlength=size)
+    marks -= np.bincount(end * NUM_PITCHES + col, minlength=size)
+    frames = marks.reshape(num_steps + 1, NUM_PITCHES)[:-1].cumsum(axis=0) > 0
+    return PianoRoll(frames, source_id)
 
 
 def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     """Render a roll as a format-0 SMF; consecutive on-steps merge into one note.
 
-    The file's PPQ is chosen so one roll step spans spec.ticks_per_step
-    ticks at the roll's step_duration.
+    One roll step spans spec.ticks_per_step ticks, and the file's PPQ makes
+    it spec.step_fraction quarter notes.
     """
     tps = spec.ticks_per_step
-    events = []
-    for col in range(roll.frames.shape[1]):
-        column = roll.frames[:, col]
-        on = False
-        start = 0
-        for t, v in enumerate(column):
-            if v and not on:
-                on, start = True, t
-            elif not v and on:
-                on = False
-                events.append(NoteEvent(spec.min_pitch + col, start * tps, (t - start) * tps))
-        if on:
-            events.append(NoteEvent(spec.min_pitch + col, start * tps,
-                                    (len(column) - start) * tps))
-    events.sort(key=lambda e: (e.onset_ticks, e.pitch))
+    # Rows of `edges` are pitches; +1 marks a note's first step, -1 the
+    # step after its last. Row-major order pairs each start with its end.
+    edges = np.diff(np.pad(roll.frames.T, ((0, 0), (1, 1))))
+    cols, starts = np.nonzero(edges > 0)
+    ends = np.nonzero(edges < 0)[1]
+    events = [NoteEvent(MIN_PITCH + col, start * tps, (end - start) * tps)
+              for col, start, end in zip(cols.tolist(), starts.tolist(), ends.tolist())]
     # SMF stores PPQ in 15 bits; at the cap a step spans slightly more time.
-    ppq = min(max(1, round(tps / roll.step_duration)), 0x7FFF)
+    ppq = min(max(1, round(tps / spec.step_fraction)), 0x7FFF)
     return write_midi(events, ppq)
+
+
+def load_roll(path: str, step_fraction: float) -> tuple[PianoRoll, QuantizationSpec]:
+    """Read one MIDI file onto a grid of `step_fraction` quarter notes per
+    step. Returns the roll, named after the file, and the spec that
+    `render_midi` needs to write it back at the same tempo."""
+    with open(path, "rb") as fh:
+        events, ppq = parse_midi(fh.read())
+    spec = QuantizationSpec.for_ppq(ppq, step_fraction)
+    return quantize(events, spec, os.path.basename(path)), spec
 
 
 @dataclass
@@ -156,10 +158,7 @@ def _load_split(split_dir: str, step_fraction: float, warnings: list[str]) -> li
             continue
         path = os.path.join(split_dir, name)
         try:
-            with open(path, "rb") as fh:
-                events, ppq = parse_midi(fh.read())
-            spec = QuantizationSpec.for_ppq(ppq, step_fraction)
-            rolls.append(quantize(events, spec, step_fraction, source_id=name))
+            rolls.append(load_roll(path, step_fraction)[0])
         except (Error, OSError) as exc:
             warnings.append(f"{path}: {exc}")
     return rolls

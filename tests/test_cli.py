@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from choralegen.cli import main
-from choralegen.model_io import load_model
+from choralegen.model_io import load_model, save_model
+from choralegen.network import NetworkConfig, init_params
 from choralegen.pianoroll import (PianoRoll, QuantizationSpec, parse_midi,
                                   quantize, render_midi)
+from choralegen.smf import NoteEvent, write_midi
 
 SPEC = QuantizationSpec(ticks_per_step=240)
 
@@ -111,6 +113,79 @@ def test_negative_truncation_window_exit_1(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "truncation_window" in err
     assert not (workspace / "model.chlf").exists()
+
+
+def untrained_model(ws):
+    path = ws / "untrained.chlf"
+    save_model(str(path), init_params(NetworkConfig(num_blocks=4)))
+    return str(path)
+
+
+def test_generate_keeps_the_seed_note_lengths(workspace):
+    # Eight sixteenth-note rows: C4 for 1.5 quarters, then E4 for 0.5.
+    (workspace / "run.cfg").write_text("step_fraction = 0.25\nseed_frames = 8\n")
+    seed = workspace / "seed.mid"
+    seed.write_bytes(write_midi([NoteEvent(60, 0, 720), NoteEvent(64, 720, 240)], 480))
+    out = workspace / "gen.mid"
+    assert main(["generate", "--config", str(workspace / "run.cfg"),
+                 "--model", untrained_model(workspace), "--seed-midi", str(seed),
+                 "--steps", "0", "--out", str(out)]) == 0
+    events, ppq = parse_midi(out.read_bytes())
+    assert [(e.pitch, e.onset_ticks / ppq, e.duration_ticks / ppq) for e in events] \
+        == [(60, 0.0, 1.5), (64, 1.5, 0.5)]
+
+
+def test_reconstruct_rows_are_sixteenths(workspace):
+    (workspace / "run.cfg").write_text("step_fraction = 0.25\n")
+    out = workspace / "recon.mid"
+    assert main(["reconstruct", "--config", str(workspace / "run.cfg"),
+                 "--model", untrained_model(workspace),
+                 "--midi", str(workspace / "corpus" / "train" / "piece.mid"),
+                 "--out", str(out)]) == 0
+    # The piece is written at PPQ 480, so a sixteenth-note row is 120
+    # ticks; the rendition keeps one row at a quarter of a quarter note.
+    _, ppq = parse_midi(out.read_bytes())
+    assert QuantizationSpec.for_ppq(ppq, 0.25).ticks_per_step == 120 and ppq == 480
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_step_fraction_exit_1(workspace, capsys, value):
+    (workspace / "run.cfg").write_text(f"step_fraction = {value}\n")
+    # No model file exists: the config must fail before any input is read.
+    assert main(["generate", "--config", str(workspace / "run.cfg"),
+                 "--model", str(workspace / "missing.chlf"),
+                 "--seed-midi", str(workspace / "corpus" / "train" / "piece.mid"),
+                 "--steps", "4", "--out", str(workspace / "gen.mid")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1:") and "step_fraction" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def huge_midi():
+    # One 4-byte delta at PPQ 1: 2^27 eighth-note steps.
+    return write_midi([NoteEvent(60, 0, 1 << 27)], 1)
+
+
+@pytest.mark.parametrize("command", ["generate", "reconstruct"])
+def test_too_long_seed_exit_1(workspace, capsys, command):
+    huge = workspace / "huge.mid"
+    huge.write_bytes(huge_midi())
+    out = workspace / "out.mid"
+    args = (["--seed-midi", str(huge), "--steps", "4"] if command == "generate"
+            else ["--midi", str(huge)])
+    assert main([command, "--model", untrained_model(workspace), *args,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: huge.mid:") and "MAX_STEPS" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_train_skips_too_long_midi(workspace, capsys):
+    (workspace / "corpus" / "train" / "huge.mid").write_bytes(huge_midi())
+    assert main(train_args(workspace)) == 0
+    err = capsys.readouterr().err
+    assert "warning: skipped" in err and "huge.mid" in err and "MAX_STEPS" in err
 
 
 def test_reconstruct_command(workspace, capsys):

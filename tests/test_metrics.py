@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from choralegen.errors import EmptyCorpus, ShapeMismatch
 from choralegen.metrics import (evaluate, format_report, frame_accuracy,
                                 piece_prf)
-from choralegen.network import NetworkConfig, init_params
+from choralegen.network import NetworkConfig, forward_sequence, init_params
 from choralegen.optim import RPropConfig
 from choralegen.pianoroll import PianoRoll
 from choralegen.runner import TrainConfig, train
@@ -155,3 +155,20 @@ def test_report_table_layout():
     text = format_report(evaluate(params, [roll]), method="rprop")
     assert "rprop" in text
     assert "100.00%" in text
+
+
+def test_evaluate_agrees_with_piece_prf_and_frame_accuracy():
+    # evaluate counts each piece once; its scores must equal the public
+    # per-piece and corpus functions applied to the same predictions.
+    params = init_params(NetworkConfig(num_blocks=16, rng_seed=3, init_scale=1.5))
+    rolls = [PianoRoll(random_pair(seed, shape=(length, 88), density=0.2)[0],
+                       source_id=f"p{seed}")
+             for seed, length in zip(range(5), (12, 3, 25, 2, 8))]
+    report = evaluate(params, rolls, threshold=0.6)
+    pairs = [((forward_sequence(params, r.frames[:-1]).y > 0.6).astype(float), r.frames[1:])
+             for r in rolls]
+    assert [(s.precision, s.recall, s.f1) for s in report.pieces] \
+        == [piece_prf(pred, targ) for pred, targ in pairs]
+    assert report.frame_accuracy == frame_accuracy(pairs)
+    assert report.macro_f1 == np.mean([piece_prf(p, t)[2] for p, t in pairs])
+    assert 0 < report.frame_accuracy < 1

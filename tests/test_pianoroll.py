@@ -1,18 +1,76 @@
 import os
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from choralegen.errors import EmptyAfterQuantization, EmptyCorpus, TooShort
-from choralegen.pianoroll import (PianoRoll, QuantizationSpec,
-                                  format_pianoroll_text, load_corpus,
-                                  parse_pianoroll_text, quantize, render_midi,
-                                  to_supervised)
+from choralegen import pianoroll
+from choralegen.errors import (EmptyAfterQuantization, EmptyCorpus,
+                               MalformedMidi, TooLong, TooShort,
+                               UnsupportedFormat)
+from choralegen.pianoroll import (MIN_PITCH, NUM_PITCHES, PianoRoll,
+                                  QuantizationSpec, format_pianoroll_text,
+                                  load_corpus, load_roll, parse_pianoroll_text,
+                                  quantize, render_midi, to_supervised)
 from choralegen.smf import NoteEvent, parse_midi, write_midi
 
 SPEC = QuantizationSpec(ticks_per_step=240)
+
+
+def render_reference(roll, spec):
+    """Per-cell walk over every (pitch, step): the oracle for `render_midi`."""
+    tps = spec.ticks_per_step
+    events = []
+    for col in range(roll.frames.shape[1]):
+        column = roll.frames[:, col]
+        on = False
+        start = 0
+        for t, v in enumerate(column):
+            if v and not on:
+                on, start = True, t
+            elif not v and on:
+                on = False
+                events.append(NoteEvent(MIN_PITCH + col, start * tps, (t - start) * tps))
+        if on:
+            events.append(NoteEvent(MIN_PITCH + col, start * tps,
+                                    (len(column) - start) * tps))
+    events.sort(key=lambda e: (e.onset_ticks, e.pitch))
+    ppq = min(max(1, round(tps / spec.step_fraction)), 0x7FFF)
+    return write_midi(events, ppq)
+
+
+def quantize_reference(events, spec):
+    """Per-event loop with Python integers: the oracle for `quantize`."""
+    tps = spec.ticks_per_step
+    spans = []
+    for ev in events:
+        start = (2 * ev.onset_ticks + tps) // (2 * tps)
+        end = (2 * (ev.onset_ticks + ev.duration_ticks) + tps) // (2 * tps)
+        if end <= start:
+            end = start + 1
+        pitch = ev.pitch
+        while pitch < MIN_PITCH:
+            pitch += 12
+        while pitch > MIN_PITCH + NUM_PITCHES - 1:
+            pitch -= 12
+        spans.append((start, end, pitch - MIN_PITCH))
+    frames = np.zeros((max(end for _, end, _ in spans), NUM_PITCHES))
+    for start, end, col in spans:
+        frames[start:end, col] = 1.0
+    return frames
+
+
+STEP_FRACTIONS = st.sampled_from([0.25, 0.5, 1.0])
+
+# Pitches below A0 and above C8 fold; a few fixed ones make overlaps on
+# one pitch likely.
+PITCHES = st.one_of(st.integers(0, 127), st.sampled_from([0, 9, 20, 21, 60, 108, 109, 127]))
+
+EVENTS = st.lists(st.builds(NoteEvent, PITCHES, st.integers(0, 4000),
+                            st.integers(1, 1500)), min_size=1, max_size=30)
 
 
 def test_a0_two_steps():
@@ -95,6 +153,91 @@ def test_midi_round_trip_property(seed):
     roll = PianoRoll(frames)
     events, _ = parse_midi(render_midi(roll, SPEC))
     assert np.array_equal(quantize(events, SPEC).frames, frames)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+       st.integers(0, 2**32 - 1), st.integers(1, 500), STEP_FRACTIONS)
+def test_render_midi_matches_reference(num_frames, density, seed, tps, step_fraction):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    roll = PianoRoll((rng.uniform(0, 1, (num_frames, 88)) < density).astype(float))
+    spec = QuantizationSpec(tps, step_fraction)
+    assert render_midi(roll, spec) == render_reference(roll, spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EVENTS, st.one_of(st.integers(1, 500), st.just(10**20)))
+@example([NoteEvent(60, 0, 100), NoteEvent(60, 50, 400), NoteEvent(72, 119, 2)], 240)
+@example([NoteEvent(0, 120, 1), NoteEvent(127, 359, 1)], 240)
+def test_quantize_matches_reference(events, tps):
+    spec = QuantizationSpec(tps)
+    assert np.array_equal(quantize(events, spec).frames, quantize_reference(events, spec))
+
+
+# Track events as (delta, event) byte pieces: notes on and off, running
+# status, meta and sysex events, long deltas, and junk status bytes.
+_DELTAS = st.sampled_from([b"\x00", b"\x60", b"\x83\x60"] * 3 + [b"\xff\xff\xff\x7f"])
+_GOOD = [b"\x90\x3c\x40", b"\x90\x15\x7f", b"\x9f\x3c\x00", b"\x80\x3c\x00",
+         b"\x80\x15\x40", b"\x3c\x40", b"\xc0\x05", b"\xff\x51\x03\x07\xa1\x20",
+         b"\xf0\x01\xf7", b"\xff\x2f\x00"]
+_JUNK = [b"\xf3", b"\x90\x80", b"\xff\x01\x09", b"\x3c"]
+_EVENTS = st.sampled_from(_GOOD * 8 + _JUNK)
+
+
+def _smf(fmt, num_tracks, division, pieces):
+    body = b"".join(delta + event for delta, event in pieces)
+    return (b"MThd" + struct.pack(">IHHH", 6, fmt, num_tracks, division)
+            + b"MTrk" + struct.pack(">I", len(body)) + body)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=80),
+                 st.builds(_smf, st.sampled_from([0, 1] * 4 + [2, 3]),
+                           st.sampled_from([1] * 8 + [0, 2]),
+                           st.sampled_from([1, 2, 96, 480, 0x7FFF] * 2 + [0, 0x8000]),
+                           st.lists(st.tuples(_DELTAS, _EVENTS), max_size=30))),
+       STEP_FRACTIONS)
+def test_arbitrary_bytes_quantize_or_raise_documented_errors(data, step_fraction):
+    with mock.patch.object(pianoroll, "MAX_STEPS", 512):
+        try:
+            events, ppq = parse_midi(data)
+            roll = quantize(events, QuantizationSpec.for_ppq(ppq, step_fraction))
+        except (MalformedMidi, UnsupportedFormat, EmptyAfterQuantization, TooLong):
+            return
+    assert 1 <= len(roll) <= 512
+
+
+def test_quantize_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(pianoroll, "MAX_STEPS", 4)
+    assert len(quantize([NoteEvent(60, 0, 4 * 240)], SPEC)) == 4
+    with pytest.raises(TooLong):
+        quantize([NoteEvent(60, 0, 4 * 240 + 120)], SPEC)  # rounds up to step 5
+    with pytest.raises(TooLong):
+        quantize([NoteEvent(60, 4 * 240, 1)], SPEC)  # kept at one step: 4..5
+
+
+def test_quantize_refuses_a_2_27_tick_note():
+    # One 4-byte delta at PPQ 1 spans 2^27 steps, about 94 GB of frames;
+    # only the bound stands between this file and that allocation.
+    events, ppq = parse_midi(write_midi([NoteEvent(60, 0, 1 << 27)], 1))
+    assert ppq == 1 and events[0].duration_ticks == 1 << 27
+    with pytest.raises(TooLong, match="MAX_STEPS"):
+        quantize(events, QuantizationSpec.for_ppq(ppq))
+
+
+def test_spec_rejects_bad_step_fraction():
+    for bad in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step_fraction"):
+            QuantizationSpec(240, bad)
+
+
+def test_load_roll_spec_carries_the_step_length(tmp_path):
+    path = tmp_path / "sixteenths.mid"
+    path.write_bytes(write_midi([NoteEvent(60, 0, 720), NoteEvent(64, 720, 240)], 480))
+    roll, spec = load_roll(str(path), 0.25)
+    assert spec == QuantizationSpec(120, 0.25)
+    assert roll.source_id == "sixteenths.mid" and len(roll) == 8
+    assert parse_midi(render_midi(roll, spec)) == parse_midi(path.read_bytes())
 
 
 def test_text_format_round_trip(chorale64):
