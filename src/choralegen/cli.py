@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 input/config errors, 2 non-finite loss,
-3 model checksum failure, 4 gradient-check failure.
+Exit codes: 0 success, 1 input, config and usage errors, 2 non-finite
+loss, 3 model checksum failure, 4 gradient-check failure. The whole run
+config, file and flags, is checked before any other input is read.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import sys
 import numpy as np
 
 from . import bptt, metrics, model_io, runner
-from .config import load_run_config
+from .config import KEYS, load_run_config
 from .errors import ChecksumMismatch, Error, NonFiniteLoss, VersionMismatch
 from .network import PARAM_FIELDS, NetworkConfig, forward_sequence, init_params
 from .pianoroll import load_corpus, load_roll, render_midi
 
 CORPUS_ENV = "CHORALEGEN_CORPUS"
+EXIT_CODES = {NonFiniteLoss: 2, ChecksumMismatch: 3, VersionMismatch: 3}  # other errors: 1
 
 
 def _corpus_dir(args) -> str:
@@ -28,30 +30,13 @@ def _corpus_dir(args) -> str:
     return directory
 
 
-def _load_config(args):
-    config = load_run_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "optimizer", None):
-        config.optimizer = args.optimizer
-    if getattr(args, "threshold", None) is not None:
-        config.threshold = args.threshold
-    return config
-
-
 def cmd_train(args) -> int:
-    config = _load_config(args)
+    config = load_run_config(args.config, args.settings)
     corpus = load_corpus(_corpus_dir(args), config.step_fraction)
     for warning in corpus.warnings:
         print(f"warning: skipped {warning}", file=sys.stderr)
-    params = init_params(config.network_config())
-    try:
-        params, history = runner.train(corpus.train, params,
-                                       config.optimizer_config(),
-                                       config.train_config(), log=print)
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params, history = runner.train(corpus.train, init_params(config.network),
+                                   config.optimizer_config(), config.train, log=print)
     model_io.save_model(args.out, params)
     history_path = args.history or args.out + ".history.tsv"
     with open(history_path, "w", encoding="utf-8") as fh:
@@ -63,12 +48,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    config = _load_config(args)
-    gen_config = config.generation_config(num_steps=args.steps)
+    config = load_run_config(args.config, args.settings)
     params = model_io.load_model(args.model)
     seed_roll, spec = load_roll(args.seed_midi, config.step_fraction)
-    seed = seed_roll.frames[: gen_config.seed_frames]
-    roll = runner.generate(params, seed, gen_config)
+    seed = seed_roll.frames[: config.generation.seed_frames]
+    roll = runner.generate(params, seed, config.generation)
     with open(args.out, "wb") as fh:
         fh.write(render_midi(roll, spec))
     print(f"wrote {len(roll)} frames to {args.out}")
@@ -76,23 +60,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args)
+    config = load_run_config(args.config, args.settings)
     params = model_io.load_model(args.model)
     corpus = load_corpus(_corpus_dir(args), config.step_fraction)
     if not corpus.test:
-        print("error: test split is empty", file=sys.stderr)
-        return 1
-    report = metrics.evaluate(params, corpus.test, config.threshold)
+        raise Error("test split is empty")
+    report = metrics.evaluate(params, corpus.test, config.generation.threshold)
     print(metrics.format_report(report, method=config.optimizer))
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    config = _load_config(args)
+    config = load_run_config(args.config, args.settings)
     params = model_io.load_model(args.model)
     original, spec = load_roll(args.midi, config.step_fraction)
-    gen_config = config.generation_config()
-    rendition, accuracy = runner.reconstruct(params, original, gen_config)
+    rendition, accuracy = runner.reconstruct(params, original, config.generation)
     print(f"frame accuracy: {accuracy:.4f}")
     if args.out:
         with open(args.out, "wb") as fh:
@@ -102,11 +84,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = _load_config(args)
+    seed = load_run_config(args.config, args.settings).network.rng_seed
     net = NetworkConfig(num_inputs=3, num_blocks=3, num_outputs=3,
-                        rng_seed=config.seed, init_scale=0.5)
+                        rng_seed=seed, init_scale=0.5)
     params = init_params(net)
-    rng = np.random.Generator(np.random.PCG64(config.seed + 1))
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
     inputs = rng.uniform(0, 1, (6, net.num_inputs))
     targets = (rng.uniform(0, 1, (6, net.num_outputs)) > 0.5).astype(float)
     analytic = bptt.backward(params, forward_sequence(params, inputs), targets)
@@ -118,65 +100,64 @@ def cmd_gradcheck(args) -> int:
     return 4 if err >= 1e-6 else 0
 
 
+def _setting(parser, flag, target, **kwargs):
+    """A flag that sets a config field as a key of the file does, checked
+    with the rest of the config and taking precedence over the file."""
+    parser.add_argument(flag, dest="settings", action="append", default=[],
+                        type=lambda value: (flag, target, value), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="choralegen",
                                      description="LSTM piano-roll learner: "
                                                  "train, generate, evaluate")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, keys):
+        # No abbreviations: `--seed` must not stand for `--seed-midi`.
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="key=value run-config file")
-        p.add_argument("--seed", type=int, help="override RNG seed")
-        p.add_argument("--threshold", type=float, help="note-on decision threshold")
+        for key in keys:
+            _setting(p, f"--{key}", KEYS[key], metavar=key.upper(),
+                     help=f"sets config key {key}")
+        return p
 
-    p = sub.add_parser("train", help="batch-train a model on a corpus")
-    common(p)
+    p = command("train", cmd_train, "batch-train a model on a corpus", ["seed", "optimizer"])
     p.add_argument("--corpus", help=f"corpus root (default ${CORPUS_ENV})")
-    p.add_argument("--optimizer", choices=("rprop", "gd"))
     p.add_argument("--out", required=True, help="output model path")
     p.add_argument("--history", help="epoch/MSE table path")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("generate", help="continue a seed MIDI file")
-    common(p)
+    p = command("generate", cmd_generate, "continue a seed MIDI file", ["threshold"])
     p.add_argument("--model", required=True)
     p.add_argument("--seed-midi", required=True, dest="seed_midi")
-    p.add_argument("--steps", type=int, required=True)
+    _setting(p, "--steps", ("generation", "num_steps", int), required=True, metavar="N")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("evaluate", help="score a model on the test split")
-    common(p)
+    p = command("evaluate", cmd_evaluate, "score a model on the test split", ["threshold"])
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", help=f"corpus root (default ${CORPUS_ENV})")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("reconstruct", help="free-run a model against an original piece")
-    common(p)
+    p = command("reconstruct", cmd_reconstruct,
+                "free-run a model against an original piece", ["threshold"])
     p.add_argument("--model", required=True)
     p.add_argument("--midi", required=True)
     p.add_argument("--out", help="optional rendition MIDI path")
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("gradcheck", help="verify BPTT against finite differences")
-    common(p)
-    p.set_defaults(func=cmd_gradcheck)
+    command("gradcheck", cmd_gradcheck, "verify BPTT against finite differences", ["seed"])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ChecksumMismatch, VersionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CODES.get(type(exc), 1)
 
 
 if __name__ == "__main__":

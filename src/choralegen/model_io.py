@@ -46,8 +46,11 @@ def deserialize_model(data: bytes) -> NetworkParams:
         raise VersionMismatch(f"unsupported version {version}")
     # Header sizes are checked against each other and the payload before
     # anything is allocated from them.
-    if min(n_in, n_b, n_out) < 1 or param_count(
-            NetworkConfig(num_inputs=n_in, num_blocks=n_b, num_outputs=n_out)) != count:
+    try:
+        config = NetworkConfig(num_inputs=n_in, num_blocks=n_b, num_outputs=n_out)
+    except ValueError as exc:
+        raise ChecksumMismatch(f"header layer sizes rejected: {exc}") from None
+    if param_count(config) != count:
         raise ChecksumMismatch("header count inconsistent with layer sizes")
     payload = body[_HEADER.size :]
     if len(payload) != 8 * count:

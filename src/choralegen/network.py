@@ -25,6 +25,10 @@ PARAM_FIELDS = (
 )
 
 
+# Bounds the allocation a config file or model header can ask for.
+MAX_PARAMS = 1 << 24
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     num_inputs: int = 88
@@ -36,6 +40,12 @@ class NetworkConfig:
     def __post_init__(self):
         if min(self.num_inputs, self.num_blocks, self.num_outputs) < 1:
             raise ValueError("layer sizes must be >= 1")
+        if param_count(self) > MAX_PARAMS:
+            raise ValueError(f"{param_count(self)} parameters exceed MAX_PARAMS = {MAX_PARAMS}")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        if not 0 <= self.init_scale < np.inf:
+            raise ValueError("init_scale must be finite and >= 0")
 
 
 def param_count(config: NetworkConfig) -> int:

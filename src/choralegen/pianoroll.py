@@ -42,8 +42,10 @@ class QuantizationSpec:
 
     @classmethod
     def for_ppq(cls, ppq: int, step_fraction: float = DEFAULT_STEP_FRACTION):
-        """Spec whose step covers `step_fraction` quarter notes of a file with this PPQ."""
-        return cls(max(1, round(ppq * step_fraction)), step_fraction)
+        """Spec for `step_fraction` quarter notes of a file with this PPQ, in
+        whole ticks; it records the step length those ticks really are."""
+        ticks = max(1, round(ppq * step_fraction))
+        return cls(ticks, ticks / ppq)
 
 
 @dataclass

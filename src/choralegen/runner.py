@@ -28,7 +28,6 @@ from .pianoroll import PianoRoll, to_supervised
 class TrainConfig:
     max_epochs: int = 500
     target_mse: float = 0.01
-    optimizer: str = "rprop"  # or "gd"
     truncation_window: int | None = None
     log_every: int = 25
 
@@ -37,10 +36,10 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if not 0 < self.target_mse < 1:
             raise ValueError("target_mse must be in (0, 1)")
-        if self.optimizer not in ("rprop", "gd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.truncation_window is not None and self.truncation_window < 1:
             raise ValueError("truncation_window must be >= 1 (None for full BPTT)")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
 
 
 @dataclass
@@ -101,7 +100,8 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
     """Batch-train until total MSE <= target_mse or max_epochs.
 
     Total MSE is the mean over all sequences' timestep x unit entries.
-    The epoch at which the target is met performs no further update.
+    The epoch at which the target is met performs no further update. The
+    update is RProp for an RPropConfig and gradient descent for a GDConfig.
     """
     if not rolls:
         raise EmptyCorpus("no training sequences")
@@ -109,8 +109,7 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
     total_entries = sum(s.targets.size for s in sequences)
 
     rprop_state: RPropState | None = None
-    if config.optimizer == "rprop":
-        assert isinstance(optimizer_config, RPropConfig)
+    if isinstance(optimizer_config, RPropConfig):
         rprop_state = rprop_init(params, optimizer_config)
 
     history = TrainHistory()
@@ -137,7 +136,7 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
         if mse <= config.target_mse:
             history.converged = True
             break
-        if config.optimizer == "rprop":
+        if rprop_state is not None:
             params, rprop_state = rprop_step(params, grads, rprop_state, optimizer_config)
         else:
             params = gd_step(params, grads, optimizer_config)

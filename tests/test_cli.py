@@ -1,10 +1,15 @@
+import contextlib
+import io
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from choralegen.cli import main
+from choralegen.cli import CORPUS_ENV, main
+from choralegen.config import KEYS
 from choralegen.model_io import load_model, save_model
 from choralegen.network import NetworkConfig, init_params
 from choralegen.pianoroll import (PianoRoll, QuantizationSpec, parse_midi,
@@ -220,3 +225,113 @@ def test_bad_config_exit_1(workspace, capsys):
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     assert "max relative gradient error" in capsys.readouterr().out
+
+
+def command_args(ws, command):
+    # No model file exists: every command must fail on the config first.
+    model, piece = str(ws / "missing.chlf"), str(ws / "corpus" / "train" / "piece.mid")
+    return {
+        "train": ["--corpus", str(ws / "corpus"), "--out", str(ws / "out.chlf")],
+        "generate": ["--model", model, "--seed-midi", piece, "--steps", "4",
+                     "--out", str(ws / "out.mid")],
+        "evaluate": ["--model", model, "--corpus", str(ws / "corpus")],
+        "reconstruct": ["--model", model, "--midi", piece, "--out", str(ws / "out.mid")],
+        "gradcheck": [],
+    }[command]
+
+
+def error_places(err):
+    """The lines and flags an `error: <places>: <message>` line names."""
+    assert err.startswith("error: ")
+    return err.split(":")[1].strip().split(", ")
+
+
+COMMANDS = ["train", "generate", "evaluate", "reconstruct", "gradcheck"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("line", ["num_blocks = 0", "threshold = 1.5", "seed = -1",
+                                  "init_scale = inf", "delta_max = 0.05",
+                                  "optimizer = adam", "rprop_variant = x",
+                                  "truncation_window = -3"])
+def test_bad_config_value_exit_1_on_every_command(workspace, capsys, command, line):
+    (workspace / "run.cfg").write_text(f"# one bad value\n{line}\n")
+    assert main([command, "--config", str(workspace / "run.cfg"),
+                 *command_args(workspace, command)]) == 1
+    err = capsys.readouterr().err
+    # generate's --steps sets a field of the same section as threshold.
+    assert error_places(err) in (["line 2"], ["line 2", "--steps"])
+    assert len(err.strip().splitlines()) == 1
+    assert not any(workspace.glob("out.*"))
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("evaluate", "--threshold", "1.5"), ("generate", "--threshold", "0"),
+    ("reconstruct", "--threshold", "nan"), ("train", "--seed", "-1"),
+    ("gradcheck", "--seed", "x"), ("train", "--optimizer", "adam")])
+def test_bad_flag_value_exit_1(workspace, capsys, command, flag, value):
+    assert main([command, flag, value, *command_args(workspace, command)]) == 1
+    err = capsys.readouterr().err
+    assert flag in error_places(err)
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--threshold"), ("gradcheck", "--threshold"), ("evaluate", "--seed"),
+    ("generate", "--seed"), ("reconstruct", "--seed"), ("evaluate", "--optimizer")])
+def test_flag_a_command_ignores_is_a_usage_error(workspace, capsys, command, flag):
+    assert main([command, flag, "1", *command_args(workspace, command)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_usage_error_exit_1(workspace, capsys):
+    args = command_args(workspace, "generate")
+    assert main(["generate", *args[:-2]]) == 1
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+def test_bad_steps_exit_1(workspace, capsys):
+    args = command_args(workspace, "generate")
+    args[args.index("--steps") + 1] = "abc"
+    assert main(["generate", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --steps: invalid literal")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_utf8_config_exit_1(workspace, capsys):
+    (workspace / "run.cfg").write_bytes(b"num_blocks = 4\n\xff\n")
+    assert main(["gradcheck", "--config", str(workspace / "run.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(KEYS)),
+              st.one_of(st.integers(-3, 10 ** 6).map(str), st.floats().map(repr),
+                        st.text(max_size=6))).map(" = ".join),
+    st.text(max_size=12))
+ARGV_TOKENS = st.one_of(st.sampled_from([*COMMANDS, "--config", "--seed", "--threshold",
+                                         "--optimizer", "--steps", "--model", "--out",
+                                         "--corpus", "--midi", "--seed-midi", "--history",
+                                         "-h", "gd", "1", "-1", "0.5", "nan"]),
+                        st.text(st.characters(codec="ascii", exclude_characters="/\\\x00"),
+                                max_size=6))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.lists(CONFIG_LINES, max_size=6).map("\n".join),
+       junk=st.lists(ARGV_TOKENS, max_size=6))
+def test_cli_on_generated_configs_and_argv_exits_documented(tmp_path, monkeypatch,
+                                                            config, junk):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CORPUS_ENV, raising=False)
+    (tmp_path / "gen.cfg").write_text(config, encoding="utf-8")
+    for argv in (["gradcheck", "--config", "gen.cfg"], junk):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choralegen import model_io, network
 from choralegen.errors import ChecksumMismatch, VersionMismatch
@@ -91,9 +93,31 @@ def refuse_to_build(*args):
 
 
 @pytest.mark.parametrize("sizes", [(88, 10**6, 88, 0), (0, 4, 3, 0), (5, 0, 3, 15),
-                                   (5, 4, 3, 10**12)])
+                                   (5, 4, 3, 10**12), (88, 2048, 88, 17_686_616)])
 def test_bad_header_rejected_before_allocation(monkeypatch, sizes):
     for module in (model_io, network):
         monkeypatch.setattr(module, "NetworkParams", refuse_to_build)
     with pytest.raises(ChecksumMismatch):
         deserialize_model(with_header(*sizes))
+
+
+def sealed(body):
+    return b"CHLF" + body + struct.pack("<I", zlib.crc32(body))
+
+
+HEADERS = st.builds(lambda v, n_in, n_b, n_out, count, tail: struct.pack(
+    "<IIIIQ", v, n_in, n_b, n_out, count) + tail,
+    st.sampled_from([1, 1, 0, 2]), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), st.binary(max_size=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=80), st.binary(max_size=80).map(sealed),
+                 HEADERS.map(sealed),
+                 st.binary(max_size=40).map(lambda b: serialize_model(params_fixture())[:len(b)] + b)))
+def test_arbitrary_bytes_load_or_raise_documented_errors(data):
+    try:
+        params = deserialize_model(data)
+    except (VersionMismatch, ChecksumMismatch):
+        return
+    assert len(data) == 4 + 24 + 8 * params.size() + 4

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from choralegen.errors import LengthMismatch, NonFiniteActivation
-from choralegen.network import (NetworkConfig, StepState, forward_sequence,
-                                forward_step, init_params, mse_loss,
-                                param_count, sigmoid)
+from choralegen.network import (MAX_PARAMS, NetworkConfig, StepState,
+                                forward_sequence, forward_step, init_params,
+                                mse_loss, param_count, sigmoid)
 
 
 def small_config(**kw):
@@ -24,6 +24,24 @@ def test_param_count_formula_arbitrary_sizes():
     for ni, nb, no in [(1, 1, 1), (2, 7, 3), (10, 5, 10)]:
         cfg = NetworkConfig(num_inputs=ni, num_blocks=nb, num_outputs=no)
         assert init_params(cfg).size() == 4 * nb * (ni + nb + 1) + no * (nb + 1)
+
+
+@pytest.mark.parametrize("bad", [dict(rng_seed=-1), dict(init_scale=-0.1),
+                                 dict(init_scale=float("inf")), dict(init_scale=float("nan")),
+                                 dict(num_blocks=2048)])
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        NetworkConfig(**bad)
+
+
+def test_max_params_bounds_the_param_count():
+    # 4B(I + B + 1) + O(B + 1) with I = O = 1: 16,762,879 at B = 2046 and
+    # 16,779,260 > 2^24 at B = 2047.
+    assert param_count(NetworkConfig(num_inputs=1, num_blocks=2046, num_outputs=1)) <= MAX_PARAMS
+    with pytest.raises(ValueError, match="MAX_PARAMS"):
+        NetworkConfig(num_inputs=1, num_blocks=2047, num_outputs=1)
+    with pytest.raises(ValueError, match="MAX_PARAMS"):
+        NetworkConfig(num_inputs=MAX_PARAMS, num_blocks=1, num_outputs=1)
 
 
 def test_init_deterministic():

@@ -240,6 +240,16 @@ def test_load_roll_spec_carries_the_step_length(tmp_path):
     assert parse_midi(render_midi(roll, spec)) == parse_midi(path.read_bytes())
 
 
+@pytest.mark.parametrize("ppq", [1, 3, 5, 480])
+def test_note_length_survives_a_round_trip_at_any_ppq(ppq):
+    # At PPQ 1, 3 and 5 an eighth note is not a whole number of ticks.
+    events, ppq = parse_midi(write_midi([NoteEvent(60, 0, 4 * ppq)], ppq))
+    spec = QuantizationSpec.for_ppq(ppq, 0.5)
+    again, again_ppq = parse_midi(render_midi(quantize(events, spec), spec))
+    assert again_ppq == ppq
+    assert [e.duration_ticks / again_ppq for e in again] == [4.0]
+
+
 def test_text_format_round_trip(chorale64):
     again = parse_pianoroll_text(format_pianoroll_text(chorale64))
     assert np.array_equal(again.frames, chorale64.frames)

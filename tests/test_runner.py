@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from choralegen.bptt import backward
 from choralegen.errors import EmptyCorpus, NonFiniteActivation, NonFiniteLoss
 from choralegen.network import NetworkConfig, forward_sequence, init_params
-from choralegen.optim import RPropConfig
+from choralegen.optim import GDConfig, RPropConfig, gd_step, rprop_init, rprop_step
 from choralegen.pianoroll import PianoRoll
 from choralegen.runner import (GenerationConfig, TrainConfig, format_history,
                                generate, reconstruct, train)
@@ -140,6 +141,22 @@ def test_truncation_window_below_one_rejected():
     for window in (0, -3):
         with pytest.raises(ValueError):
             TrainConfig(truncation_window=window)
+
+
+def test_log_every_below_one_rejected():
+    with pytest.raises(ValueError, match="log_every"):
+        TrainConfig(log_every=0)
+
+
+def test_update_follows_the_optimizer_config_type():
+    roll, params = alternating_roll(), small_net()
+    grads = backward(params, forward_sequence(params, roll.frames[:-1]), roll.frames[1:])
+    rprop = RPropConfig(delta_zero=0.02)
+    expected = {GDConfig(learning_rate=0.3): gd_step(params, grads, GDConfig(learning_rate=0.3)),
+                rprop: rprop_step(params, grads, rprop_init(params, rprop), rprop)[0]}
+    for config, want in expected.items():
+        got, _ = train([roll], params.copy(), config, TrainConfig(max_epochs=1, target_mse=1e-9))
+        assert np.array_equal(got.vector, want.vector)
 
 
 def test_non_finite_parameter_raises_non_finite_loss():
