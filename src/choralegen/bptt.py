@@ -1,58 +1,117 @@
-"""Exact gradients of the MSE loss by full backpropagation through time,
-plus a central finite-difference oracle for verification."""
+"""Exact gradients of the MSE loss by backpropagation through time over one
+sequence or a zero-padded stack of them, plus a central finite-difference
+oracle for verification."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteGradient, ShapeMismatch
+from .errors import LengthMismatch, NonFiniteGradient
 from .network import ForwardTrace, NetworkParams, forward_sequence, mse_loss
 
 # A gradient set is shape-congruent with the params it was computed for.
 GradientSet = NetworkParams
 
 
-def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
-             loss_scale: float = 1.0) -> GradientSet:
-    """dE/dtheta for E = loss_scale * mse_loss(trace.y, targets).
+# Rows per block of the weight-gradient sums. Each block is one matrix
+# product whose reduction is short enough that OpenBLAS rounds it the same
+# at every thread count; the blocks are then added in row order.
+BLOCK_ROWS = 128
 
-    Error flows through both the cell-state recurrence and the
-    block-output recurrence across every timestep (no truncation). The
-    loop carries only the gate deltas; the weight gradients are whole-
-    sequence matrix products afterwards.
+
+def _blocked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """out = a.T @ b, as a fixed-order sum over blocks of BLOCK_ROWS rows."""
+    np.matmul(a[:BLOCK_ROWS].T, b[:BLOCK_ROWS], out=out)
+    for r in range(BLOCK_ROWS, len(a), BLOCK_ROWS):
+        out += a[r : r + BLOCK_ROWS].T @ b[r : r + BLOCK_ROWS]
+
+
+def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
+             loss_scale: float = 1.0, lengths=None,
+             window: int | None = None) -> GradientSet:
+    """dE/dtheta for E = loss_scale * sum_n mse_n, mse_n being the mean
+    squared error over the first T_n rows of sequence n.
+
+    The trace is one sequence (T, ...) or N stacked step by step
+    (T, N, ...); a 2-D trace runs as its N = 1 view. `lengths` holds each
+    T_n (None: all T); rows past T_n add exactly zero. Error flows back
+    through both recurrences across every timestep or, with a `window`,
+    only within each chunk of `window` rows (truncated BPTT). The loop
+    carries only the gate deltas; the weight gradients are blocked
+    products over all rows afterwards.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != trace.y.shape:
         raise LengthMismatch(f"targets {targets.shape} vs trace {trace.y.shape}")
-    nb = params.num_blocks
-    y = trace.y
-    dz_y = loss_scale * 2.0 * (y - targets) / y.size * y * (1.0 - y)
-    d_out = dz_y @ params.w_out  # output-layer error reaching each h_t
-
-    i, f, o, g = (trace.gates[:, k * nb : (k + 1) * nb] for k in range(4))
-    c_prev = np.vstack([trace.init_state.cell_states, trace.cell_states[:-1]])
-    h_prev = np.vstack([trace.init_state.block_outputs, trace.block_outputs[:-1]])
-    tc = np.tanh(trace.cell_states)
-    dc_dh = o * (1.0 - tc * tc)
-    # d(gate pre-activation) per unit of dc (i, f, c) or of dh (o); each
-    # step below scales its row into that step's gate deltas.
-    dz = np.hstack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
-                    tc * o * (1.0 - o), i * (1.0 - g * g)])
-    dh_carry = np.zeros(nb)
-    dc_carry = np.zeros(nb)
-    for t in range(len(trace) - 1, -1, -1):
-        dh = d_out[t] + dh_carry
-        dc = dh * dc_dh[t] + dc_carry
-        dz[t] *= np.concatenate([dc, dc, dh, dc])
-        dh_carry = dz[t] @ params.w_h
-        dc_carry = dc * f[t]
-
+    steps, nb = len(trace), params.num_blocks
+    x, gates, cells, outputs, y, targets = (
+        a.reshape(steps, -1, a.shape[-1]) for a in
+        (trace.x, trace.gates, trace.cell_states, trace.block_outputs, trace.y, targets))
+    n = y.shape[1]
+    lengths = np.full(n, steps) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (n,) or not np.all((lengths >= 1) & (lengths <= steps)):
+        raise LengthMismatch(f"lengths {lengths.tolist()} for {n} sequences of {steps} rows")
+    rows = lambda a: a.reshape(steps * n, -1)
     grads = params.zeros_like()
-    np.matmul(dz.T, trace.x, out=grads.w_x)
-    np.matmul(dz.T, h_prev, out=grads.w_h)
-    np.sum(dz, axis=0, out=grads.b)
-    np.matmul(dz_y.T, trace.block_outputs, out=grads.w_out)
-    np.sum(dz_y, axis=0, out=grads.b_out)
+
+    # loss_scale * 2 (y - t) / (T_n * outputs) * y (1 - y), left to right.
+    dz_y = np.subtract(y, targets)
+    dz_y *= loss_scale * 2.0
+    dz_y /= (lengths * params.num_outputs)[:, None]
+    dz_y *= y
+    dz_y *= 1.0 - y
+    for k, length in enumerate(lengths):
+        dz_y[length:, k] = 0.0
+    _blocked_product(rows(dz_y), rows(outputs), grads.w_out)
+    np.sum(rows(dz_y), axis=0, out=grads.b_out)
+    d_out = (rows(dz_y) @ params.w_out).reshape(steps, n, nb)  # error reaching each h_t
+    del dz_y
+
+    # d(gate pre-activation) per unit of dc (i, f, c) or of dh (o); each
+    # step below scales its row into that step's gate deltas. Built in
+    # place, dz_c serving as the temporary, to bound the memory of a corpus.
+    i, f, o, g = (gates[..., k * nb : (k + 1) * nb] for k in range(4))
+    dz = np.empty_like(gates)
+    dz_i, dz_f, dz_o, dz_c = (dz[..., k * nb : (k + 1) * nb] for k in range(4))
+    tc = np.tanh(cells, out=dz_o)
+    dc_dh = tc * tc
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dz_o *= o
+    np.subtract(1.0, o, out=dz_c)
+    dz_o *= dz_c
+    np.multiply(g, i, out=dz_i)
+    np.subtract(1.0, i, out=dz_c)
+    dz_i *= dz_c
+    np.multiply(trace.init_state.cell_states, f[0], out=dz_f[0])
+    np.multiply(cells[:-1], f[1:], out=dz_f[1:])
+    np.subtract(1.0, f, out=dz_c)
+    dz_f *= dz_c
+    np.multiply(g, g, out=dz_c)
+    np.subtract(1.0, dz_c, out=dz_c)
+    dz_c *= i
+
+    dh, dc = np.empty((n, nb)), np.empty((n, nb))
+    dh_carry, dc_carry = np.zeros((n, nb)), np.zeros((n, nb))
+    for t in range(steps - 1, -1, -1):
+        np.add(d_out[t], dh_carry, out=dh)
+        np.multiply(dh, dc_dh[t], out=dc)
+        dc += dc_carry
+        dz_i[t] *= dc
+        dz_f[t] *= dc
+        dz_o[t] *= dh
+        dz_c[t] *= dc
+        np.matmul(dz[t], params.w_h, out=dh_carry)
+        np.multiply(dc, f[t], out=dc_carry)
+        if window and t % window == 0:  # a chunk starts: no error crosses it
+            dh_carry[...] = dc_carry[...] = 0.0
+    del d_out, dc_dh
+
+    h_prev = np.concatenate([np.broadcast_to(trace.init_state.block_outputs, (n, nb)),
+                             rows(outputs)[:-n]])
+    _blocked_product(rows(dz), rows(x), grads.w_x)
+    _blocked_product(rows(dz), h_prev, grads.w_h)
+    np.sum(rows(dz), axis=0, out=grads.b)
     if not np.isfinite(grads.vector).all():
         raise NonFiniteGradient("NaN/inf in gradient")
     return grads
@@ -65,28 +124,24 @@ def add_into(total: GradientSet, extra: GradientSet) -> GradientSet:
     return total
 
 
-def accumulate(grads: list[GradientSet]) -> GradientSet:
-    """Elementwise sum in the given (corpus) order for bit-reproducibility."""
-    if not grads:
-        raise ShapeMismatch("nothing to accumulate")
-    total = grads[0].zeros_like()
-    for g in grads:
-        add_into(total, g)
-    return total
-
-
 def finite_diff_gradient(params: NetworkParams, inputs: np.ndarray,
-                         targets: np.ndarray, h: float = 1e-5) -> GradientSet:
-    """Central difference (E(w+h) - E(w-h)) / 2h per parameter.
+                         targets: np.ndarray, h: float = 1e-5,
+                         lengths=None) -> GradientSet:
+    """Central difference (E(w+h) - E(w-h)) / 2h per parameter, of the loss
+    `backward` differentiates: the sum over sequences of each one's MSE over
+    its first T_n rows (`lengths`; None: all rows).
 
     Quadratic cost in parameter count; meant for small test networks.
     """
     if h <= 0:
         raise ValueError("h must be > 0")
+    targets = np.asarray(targets, dtype=np.float64)
+    targets = targets.reshape(len(inputs), -1, targets.shape[-1])
+    lengths = [len(inputs)] * targets.shape[1] if lengths is None else lengths
 
     def loss(flat):
-        p = params.with_flat(flat)
-        return mse_loss(forward_sequence(p, inputs).y, targets)
+        y = forward_sequence(params.with_flat(flat), inputs).y.reshape(targets.shape)
+        return sum(mse_loss(y[:m, k], targets[:m, k]) for k, m in enumerate(lengths))
 
     base = params.flatten()
     grad = np.zeros_like(base)

@@ -66,7 +66,9 @@ def cmd_evaluate(args) -> int:
     if not corpus.test:
         raise Error("test split is empty")
     report = metrics.evaluate(params, corpus.test, config.generation.threshold)
-    print(metrics.format_report(report, method=config.optimizer))
+    # .chlf does not record the optimizer, so the row names the model file.
+    model = os.path.splitext(os.path.basename(args.model))[0]
+    print(metrics.format_report(report, model=model))
     return 0
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyCorpus, ShapeMismatch
 from .network import NetworkParams, forward_sequence
-from .pianoroll import PianoRoll, to_supervised
+from .pianoroll import PianoRoll, frame_stack
 
 
 @dataclass
@@ -90,13 +90,10 @@ def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
     """
     if not test_rolls:
         raise EmptyCorpus("empty test split")
-    sups = [to_supervised(roll) for roll in test_rolls]
-    stack = np.zeros((max(len(s.inputs) for s in sups), len(sups), params.num_inputs))
-    for n, sup in enumerate(sups):
-        stack[: len(sup.inputs), n] = sup.inputs
-    y = forward_sequence(params, stack).y
-    counts = [_count(y[: len(sup.inputs), n] > threshold, sup.targets)
-              for n, sup in enumerate(sups)]
+    stack, lengths = frame_stack(test_rolls)
+    y = forward_sequence(params, stack[:-1]).y
+    counts = [_count(y[:m, n] > threshold, stack[1 : m + 1, n])
+              for n, m in enumerate(lengths)]
     report = EvalReport([PieceScore(roll.source_id, *c.prf(), c)
                          for roll, c in zip(test_rolls, counts)])
     report.macro_f1 = float(np.mean([s.f1 for s in report.pieces]))
@@ -104,10 +101,10 @@ def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
     return report
 
 
-def format_report(report: EvalReport, method: str = "RProp") -> str:
-    """Plain-text table: method, accuracy %, F1 %."""
-    lines = [f"{'method':<10} {'Accuracy':>10} {'F1 score':>10}",
-             f"{method:<10} {report.frame_accuracy * 100:>9.2f}% "
+def format_report(report: EvalReport, model: str) -> str:
+    """Plain-text table: model name, accuracy %, F1 %, then per piece."""
+    lines = [f"{'model':<10} {'Accuracy':>10} {'F1 score':>10}",
+             f"{model:<10} {report.frame_accuracy * 100:>9.2f}% "
              f"{report.macro_f1 * 100:>9.2f}%",
              "",
              f"{'piece':<30} {'P':>7} {'R':>7} {'F1':>7}"]

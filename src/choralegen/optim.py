@@ -31,6 +31,8 @@ class RPropConfig:
             raise ValueError("need 0 < delta_min <= delta_zero <= delta_max")
         if not 0 < self.eta_minus < 1 < self.eta_plus:
             raise ValueError("need 0 < eta_minus < 1 < eta_plus")
+        if not np.isfinite([self.delta_max, self.eta_plus]).all():
+            raise ValueError("delta_max and eta_plus must be finite")
         if self.variant not in ("plain", "with_backtracking"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -40,8 +42,8 @@ class GDConfig:
     learning_rate: float = 0.01
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 @dataclass

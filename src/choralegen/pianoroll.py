@@ -81,6 +81,17 @@ def to_supervised(roll: PianoRoll) -> SupervisedSequence:
     return SupervisedSequence(roll.frames[:-1], roll.frames[1:], roll.source_id)
 
 
+def frame_stack(rolls: list[PianoRoll]) -> tuple[np.ndarray, list[int]]:
+    """The rolls as one zero-padded (T_max + 1, N, 88) array, roll n in
+    column n, and each roll's number of next-frame pairs T_n = len - 1.
+    `stack[:-1]` are the inputs and `stack[1:]` the targets."""
+    lengths = [len(to_supervised(roll).targets) for roll in rolls]  # TooShort if < 2 frames
+    stack = np.zeros((max(lengths) + 1, len(rolls), NUM_PITCHES))
+    for n, roll in enumerate(rolls):
+        stack[: len(roll), n] = roll.frames
+    return stack, lengths
+
+
 def quantize(events: list[NoteEvent], spec: QuantizationSpec,
              source_id: str = "") -> PianoRoll:
     """Snap note events onto the step grid as binary frames.

@@ -1,8 +1,8 @@
 """Training and generation orchestration.
 
-Training is full batch with teacher forcing: every epoch forwards each
-sequence on ground-truth inputs, sums the per-sequence gradients in
-corpus order, and applies exactly one optimizer step. Generation feeds
+Training is full batch with teacher forcing: every epoch forwards all
+sequences, stacked, on ground-truth inputs, backpropagates the sum of
+their losses, and applies exactly one optimizer step. Generation feeds
 thresholded predictions back as the next input.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bptt import add_into, backward
+from .bptt import backward
 from .errors import (EmptyCorpus, NonFiniteActivation, NonFiniteGradient,
                      NonFiniteLoss)
 from .metrics import frame_accuracy
@@ -21,7 +21,7 @@ from .network import (NetworkParams, _lstm_cell, _sigmoid_inplace,
                       forward_sequence)
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
-from .pianoroll import PianoRoll, to_supervised
+from .pianoroll import PianoRoll, frame_stack
 
 
 @dataclass(frozen=True)
@@ -72,41 +72,24 @@ class GenerationConfig:
             raise ValueError("seed_frames and top_k must be >= 1")
 
 
-def _sequence_grad(params, inputs, targets, window, loss_scale):
-    """Forward + backward in truncated-BPTT chunks of `window` steps (one
-    chunk, full BPTT, when window is None), with state carried across chunk
-    boundaries but gradients confined to each chunk.
-    Returns (grads, sum of squared errors)."""
-    window = window or len(inputs)
-    grads = params.zeros_like()
-    sq = 0.0
-    state = None
-    for start in range(0, len(inputs), window):
-        chunk_in = inputs[start : start + window]
-        chunk_tg = targets[start : start + window]
-        trace = forward_sequence(params, chunk_in, init_state=state)
-        state = trace.final_state()
-        # Rescale so chunk gradients sum to the whole-sequence MSE gradient.
-        scale = loss_scale * chunk_tg.size / targets.size
-        add_into(grads, backward(params, trace, chunk_tg, scale))
-        sq += float(np.sum((trace.y - chunk_tg) ** 2))
-    return grads, sq
-
-
 def train(rolls: list[PianoRoll], params: NetworkParams,
           optimizer_config: RPropConfig | GDConfig, config: TrainConfig,
           loss_scale: float = 1.0,
           log=None) -> tuple[NetworkParams, TrainHistory]:
     """Batch-train until total MSE <= target_mse or max_epochs.
 
-    Total MSE is the mean over all sequences' timestep x unit entries.
+    Total MSE is the mean over all sequences' timestep x unit entries. The
+    gradient is that of the sum of the per-sequence MSEs, so each piece
+    weighs the same whatever its length. Every epoch runs the whole corpus
+    as one zero-padded (T_max, N, 88) stack: one forward and one backward.
     The epoch at which the target is met performs no further update. The
     update is RProp for an RPropConfig and gradient descent for a GDConfig.
     """
     if not rolls:
         raise EmptyCorpus("no training sequences")
-    sequences = [to_supervised(r) for r in rolls]
-    total_entries = sum(s.targets.size for s in sequences)
+    stack, lengths = frame_stack(rolls)
+    inputs, targets = stack[:-1], stack[1:]
+    total_entries = sum(lengths) * stack.shape[-1]
 
     rprop_state: RPropState | None = None
     if isinstance(optimizer_config, RPropConfig):
@@ -115,17 +98,15 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
     history = TrainHistory()
     for epoch in range(config.max_epochs):
         start = time.perf_counter()
-        grads = params.zeros_like()
-        sq_sum = 0.0
         try:
-            for seq in sequences:
-                g, sq = _sequence_grad(params, seq.inputs, seq.targets,
-                                       config.truncation_window, loss_scale)
-                add_into(grads, g)
-                sq_sum += sq
+            trace = forward_sequence(params, inputs)
+            grads = backward(params, trace, targets, loss_scale, lengths,
+                             config.truncation_window)
         except (NonFiniteActivation, NonFiniteGradient) as exc:
             raise NonFiniteLoss(epoch) from exc
-        mse = sq_sum / total_entries
+        mse = sum(float(np.sum((trace.y[:m, n] - targets[:m, n]) ** 2))
+                  for n, m in enumerate(lengths)) / total_entries
+        del trace  # before the next epoch's forward allocates its own
         if not np.isfinite(mse):
             raise NonFiniteLoss(epoch)
         history.mse.append(mse)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from choralegen.bptt import (accumulate, backward, finite_diff_gradient,
-                             max_relative_error)
-from choralegen.errors import LengthMismatch, ShapeMismatch
+from choralegen.bptt import backward, finite_diff_gradient, max_relative_error
+from choralegen.errors import LengthMismatch
 from choralegen.network import (NetworkConfig, forward_sequence, init_params,
                                 mse_loss)
 
@@ -77,28 +76,9 @@ def test_length_mismatch():
     trace = forward_sequence(params, inputs)
     with pytest.raises(LengthMismatch):
         backward(params, trace, targets[:-1])
-
-
-def test_accumulate_identities():
-    params, inputs, targets = random_instance(2)
-    g = backward(params, forward_sequence(params, inputs), targets)
-    zero = g.zeros_like()
-    assert np.array_equal(accumulate([g, zero]).flatten(), g.flatten())
-    assert np.array_equal(accumulate([g, g]).flatten(), 2 * g.flatten())
-
-
-def test_accumulate_deterministic():
-    sets = [random_instance(s)[0] for s in range(3)]
-    a = accumulate(sets).flatten()
-    b = accumulate(sets).flatten()
-    assert np.array_equal(a, b)
-
-
-def test_accumulate_shape_mismatch():
-    small = random_instance(0, nb=2)[0]
-    big = random_instance(0, nb=3)[0]
-    with pytest.raises(ShapeMismatch):
-        accumulate([small, big])
+    for lengths in ([0], [len(inputs) + 1], [2, 2]):
+        with pytest.raises(LengthMismatch):
+            backward(params, trace, targets, lengths=lengths)
 
 
 def test_loss_scaling_scales_gradients():
@@ -180,3 +160,84 @@ def test_matches_per_step_reference(seed):
     assert np.allclose(trace.y, y, rtol=1e-13, atol=0)
     scale = np.max(np.abs(expected.flatten()))
     assert np.max(np.abs(grads.flatten() - expected.flatten())) <= 1e-12 * scale
+
+
+def ragged_batch(seed, lengths, ni=2, nb=3, no=2, pad=0, scale=0.5):
+    """A net, its pieces as (inputs, targets) pairs, and the pieces stacked
+    step by step into zero-padded (max(lengths) + pad, N, .) arrays."""
+    params = random_instance(seed, ni, nb, no, scale=scale)[0]
+    rng = np.random.Generator(np.random.PCG64(seed + 2000))
+    pieces = [(rng.uniform(0, 1, (n, ni)), (rng.uniform(0, 1, (n, no)) > 0.5).astype(float))
+              for n in lengths]
+    inputs = np.zeros((max(lengths) + pad, len(lengths), ni))
+    targets = np.zeros((max(lengths) + pad, len(lengths), no))
+    for k, (x, y) in enumerate(pieces):
+        inputs[: len(x), k], targets[: len(y), k] = x, y
+    return params, pieces, inputs, targets
+
+
+def max_norm_close(a, b, rel):
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+def test_batched_gradient_is_the_sum_of_piece_gradients():
+    # Each single-sequence gradient is that of its own MSE, i.e. of its
+    # squared error scaled by 1/(T_n * outputs); the batch must weight its
+    # pieces the same way. 180 rows make two weight-gradient blocks.
+    lengths = (60, 45, 30, 45)
+    params, pieces, inputs, targets = ragged_batch(3, lengths, ni=4, nb=5, no=3)
+    batched = backward(params, forward_sequence(params, inputs), targets, lengths=lengths)
+    singles = [backward(params, forward_sequence(params, x), y).vector for x, y in pieces]
+    assert max_norm_close(batched.vector, sum(singles), 1e-12)
+    # A corpus-mean weighting, 1/sum(T * outputs) for every piece, differs.
+    corpus_mean = sum(g * n for g, n in zip(singles, lengths)) / sum(lengths)
+    assert not max_norm_close(batched.vector, corpus_mean, 1e-3)
+
+
+def test_gradient_matches_finite_differences_on_ragged_batch():
+    lengths = (5, 3, 4)
+    params, _, inputs, targets = ragged_batch(11, lengths)
+    analytic = backward(params, forward_sequence(params, inputs), targets, lengths=lengths)
+    numeric = finite_diff_gradient(params, inputs, targets, h=1e-5, lengths=lengths)
+    assert max_relative_error(analytic, numeric) < 1e-6
+
+
+def batch_loss(y, targets, lengths):
+    return sum(float(np.mean((y[:n, k] - targets[:n, k]) ** 2)) for k, n in enumerate(lengths))
+
+
+def test_trailing_padding_adds_nothing():
+    lengths = (7, 4, 6)
+    runs = []
+    for pad in (0, 9):
+        params, _, inputs, targets = ragged_batch(5, lengths, pad=pad)
+        trace = forward_sequence(params, inputs)
+        loss = batch_loss(trace.y, targets, lengths)
+        runs.append((loss, backward(params, trace, targets, lengths=lengths).vector))
+    (loss, grad), (padded_loss, padded_grad) = runs
+    assert padded_loss == loss
+    assert max_norm_close(padded_grad, grad, 1e-12)
+
+
+def chunked_reference(params, inputs, targets, window):
+    """Truncated BPTT one piece at a time: forward each chunk of `window`
+    steps from the previous chunk's final state, backpropagate it alone,
+    and weight it by its share of the piece's entries."""
+    grads, state = np.zeros(params.size()), None
+    for start in range(0, len(inputs), window):
+        chunk_in, chunk_tg = inputs[start : start + window], targets[start : start + window]
+        trace = forward_sequence(params, chunk_in, init_state=state)
+        state = trace.final_state()
+        grads += backward(params, trace, chunk_tg, chunk_tg.size / targets.size).vector
+    return grads
+
+
+def test_truncated_batch_matches_per_piece_chunks():
+    lengths = (9, 6, 11)
+    params, pieces, inputs, targets = ragged_batch(8, lengths, ni=3, nb=4, no=3)
+    batched = backward(params, forward_sequence(params, inputs), targets,
+                       lengths=lengths, window=4)
+    expected = sum(chunked_reference(params, x, y, 4) for x, y in pieces)
+    assert max_norm_close(batched.vector, expected, 1e-12)
+    full = backward(params, forward_sequence(params, inputs), targets, lengths=lengths)
+    assert not max_norm_close(full.vector, expected, 1e-6)

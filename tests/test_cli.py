@@ -82,6 +82,16 @@ def test_evaluate_memorized_corpus(workspace, capsys):
     assert "100.00%" in capsys.readouterr().out
 
 
+def test_evaluate_labels_the_row_with_the_model_file(workspace, capsys):
+    # .chlf does not record the optimizer, so the report must not name one.
+    assert main([*train_args(workspace, "gd_run.chlf"), "--optimizer", "gd"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(workspace / "gd_run.chlf"),
+                 "--corpus", str(workspace / "corpus")]) == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    assert header.split()[0] == "model" and row.split()[0] == "gd_run"
+
+
 def test_corpus_env_var(workspace, monkeypatch):
     monkeypatch.setenv("CHORALEGEN_CORPUS", str(workspace / "corpus"))
     args = train_args(workspace)
@@ -253,7 +263,8 @@ COMMANDS = ["train", "generate", "evaluate", "reconstruct", "gradcheck"]
 @pytest.mark.parametrize("line", ["num_blocks = 0", "threshold = 1.5", "seed = -1",
                                   "init_scale = inf", "delta_max = 0.05",
                                   "optimizer = adam", "rprop_variant = x",
-                                  "truncation_window = -3"])
+                                  "truncation_window = -3", "learning_rate = nan",
+                                  "delta_max = inf", "eta_plus = inf"])
 def test_bad_config_value_exit_1_on_every_command(workspace, capsys, command, line):
     (workspace / "run.cfg").write_text(f"# one bad value\n{line}\n")
     assert main([command, "--config", str(workspace / "run.cfg"),

@@ -152,7 +152,7 @@ def test_evaluate_empty_split():
 
 def test_report_table_layout():
     params, roll = memorized_setup()
-    text = format_report(evaluate(params, [roll]), method="rprop")
+    text = format_report(evaluate(params, [roll]), model="rprop")
     assert "rprop" in text
     assert "100.00%" in text
 

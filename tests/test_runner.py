@@ -255,11 +255,18 @@ from conftest import chorale_piece
 from choralegen.metrics import evaluate
 from choralegen.model_io import serialize_model
 from choralegen.network import NetworkConfig, init_params
-from choralegen.optim import RPropConfig
+from choralegen.optim import GDConfig, RPropConfig
 from choralegen.runner import GenerationConfig, TrainConfig, generate, train
 params, _ = train([chorale_piece(s) for s in range(6)],
                   init_params(NetworkConfig(num_blocks=64, rng_seed=0)),
                   RPropConfig(delta_max=0.1), TrainConfig(max_epochs=15, target_mse=1e-9))
+# Gradient descent keeps every bit of the gradient: one 400-frame piece, and
+# a ragged corpus whose stack has 203 rows, both past one 128-row block.
+for corpus in ([chorale_piece(11, 400)],
+               [chorale_piece(s, n) for s, n in zip(range(12, 16), (150, 97, 203, 64))]):
+    gd_params, _ = train(corpus, init_params(NetworkConfig(num_blocks=32, rng_seed=1)),
+                         GDConfig(), TrainConfig(max_epochs=3, target_mse=1e-9))
+    sys.stdout.buffer.write(serialize_model(gd_params))
 held_out = [chorale_piece(s, length) for s, length in zip(range(6, 11), (20, 45, 32, 27, 38))]
 roll = generate(params, held_out[0].frames[:2],
                 GenerationConfig(threshold=0.5, num_steps=48, fallback="top_k"))
@@ -270,8 +277,8 @@ sys.stdout.buffer.write(serialize_model(params) + roll.frames.tobytes()
 
 
 def test_model_bytes_independent_of_blas_threads():
-    # Covers training, the fused-GEMV generation steps and the batched
-    # (T_max, N, 88) forward of evaluate on a ragged split.
+    # Covers RProp and gradient-descent training, the fused-GEMV generation
+    # steps and the batched (T_max, N, 88) forward of evaluate on a ragged split.
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
 
@@ -282,6 +289,6 @@ def test_model_bytes_independent_of_blas_threads():
                               capture_output=True, check=True).stdout
 
     one = model_bytes(1)
-    assert one[:4] == b"CHLF"
+    assert one[:4] == b"CHLF" and one.count(b"CHLF") == 3
     assert b"EvalReport(pieces=[PieceScore(" in one
     assert model_bytes(2) == one
