@@ -22,7 +22,8 @@ class TooShort(Error):
 
 
 class TooLong(Error):
-    """Quantized note events would span more than `pianoroll.MAX_STEPS` steps."""
+    """Quantized note events would span more than `pianoroll.MAX_STEPS` steps,
+    or a rendered roll would reach past MIDI tick 2^63."""
 
 
 class EmptyCorpus(Error):

@@ -27,10 +27,11 @@ _HEADER = struct.Struct("<IIIIQ")  # version, inputs, blocks, outputs, count
 
 
 def serialize_model(params: NetworkParams) -> bytes:
-    flat = np.concatenate([a.ravel() for a in params.arrays()]).astype("<f8")
-    body = _HEADER.pack(VERSION, params.num_inputs, params.num_blocks,
-                        params.num_outputs, flat.size) + flat.tobytes()
-    return MAGIC + body + struct.pack("<I", zlib.crc32(body))
+    flat = np.concatenate([a.ravel() for a in params.arrays()], dtype="<f8")
+    header = _HEADER.pack(VERSION, params.num_inputs, params.num_blocks,
+                          params.num_outputs, flat.size)
+    checksum = zlib.crc32(flat, zlib.crc32(header))
+    return b"".join([MAGIC, header, flat, struct.pack("<I", checksum)])
 
 
 def deserialize_model(data: bytes) -> NetworkParams:
@@ -38,10 +39,10 @@ def deserialize_model(data: bytes) -> NetworkParams:
         raise ChecksumMismatch("file too short")
     if data[:4] != MAGIC:
         raise VersionMismatch("bad magic")
-    body, (checksum,) = data[4:-4], struct.unpack("<I", data[-4:])
-    if zlib.crc32(body) != checksum:
+    (checksum,) = struct.unpack_from("<I", data, len(data) - 4)
+    if zlib.crc32(memoryview(data)[4:-4]) != checksum:
         raise ChecksumMismatch("CRC-32 does not validate")
-    version, n_in, n_b, n_out, count = _HEADER.unpack(body[: _HEADER.size])
+    version, n_in, n_b, n_out, count = _HEADER.unpack_from(data, 4)
     if version != VERSION:
         raise VersionMismatch(f"unsupported version {version}")
     # Header sizes are checked against each other and the payload before
@@ -52,10 +53,10 @@ def deserialize_model(data: bytes) -> NetworkParams:
         raise ChecksumMismatch(f"header layer sizes rejected: {exc}") from None
     if param_count(config) != count:
         raise ChecksumMismatch("header count inconsistent with layer sizes")
-    payload = body[_HEADER.size :]
-    if len(payload) != 8 * count:
+    start = 4 + _HEADER.size
+    if len(data) - start - 4 != 8 * count:
         raise ChecksumMismatch("payload length does not match header count")
-    flat = np.frombuffer(payload, dtype="<f8")
+    flat = np.frombuffer(data, dtype="<f8", count=count, offset=start)
     params = NetworkParams(np.empty(count), n_in, n_b, n_out)
     pos = 0
     for view in params.arrays():

@@ -9,11 +9,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .errors import EmptyAfterQuantization, EmptyCorpus, Error, TooLong, TooShort
-from .smf import NoteEvent, parse_midi, write_midi
+from .smf import NoteEvent, checked_notes, note_array, parse_midi, write_midi
 
 NUM_PITCHES = 88
 MIN_PITCH = 21  # A0
@@ -103,18 +104,18 @@ def quantize(events: list[NoteEvent], spec: QuantizationSpec,
     """
     if not events:
         raise EmptyAfterQuantization("no events to quantize")
-    notes = np.array([(ev.onset_ticks, ev.onset_ticks + ev.duration_ticks, ev.pitch)
-                      for ev in events], dtype=np.int64)
+    pitch, onset, duration = note_array(events).T
+    ticks = np.stack([onset, onset + duration])
     # Any step longer than twice the last tick rounds every edge to 0, so
     # capping it there changes nothing and keeps the sums inside int64.
-    tps = min(spec.ticks_per_step, 2 * int(notes[:, 1].max()) + 1)
-    start, end = (notes[:, :2] + tps // 2).T // tps
+    tps = min(spec.ticks_per_step, 2 * int(ticks[1].max()) + 1)
+    start, end = (ticks + tps // 2) // tps
     end = np.maximum(end, start + 1)
     num_steps = int(end.max())
     if num_steps > MAX_STEPS:
         raise TooLong(f"{source_id or 'roll'}: {num_steps} steps exceed "
                       f"MAX_STEPS = {MAX_STEPS}")
-    col = notes[:, 2] - MIN_PITCH
+    col = pitch - MIN_PITCH
     col = np.clip(col, col % 12, NUM_PITCHES - 1 - (NUM_PITCHES - 1 - col) % 12)
     # +1 where a note starts, -1 where it ends; a cell sounds while the
     # running sum down its column is positive (overlaps merge).
@@ -132,13 +133,16 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     it spec.step_fraction quarter notes.
     """
     tps = spec.ticks_per_step
+    if len(roll) * tps >= 1 << 63:
+        raise TooLong(f"{roll.source_id or 'roll'}: {len(roll)} steps of {tps} "
+                      "ticks pass 2^63 ticks")
     # Rows of `edges` are pitches; +1 marks a note's first step, -1 the
-    # step after its last. Row-major order pairs each start with its end.
+    # step after its last, so the flat nonzero indices alternate start, end.
     edges = np.diff(np.pad(roll.frames.T, ((0, 0), (1, 1))))
-    cols, starts = np.nonzero(edges > 0)
-    ends = np.nonzero(edges < 0)[1]
-    events = [NoteEvent(MIN_PITCH + col, start * tps, (end - start) * tps)
-              for col, start, end in zip(cols.tolist(), starts.tolist(), ends.tolist())]
+    first, after = np.flatnonzero(edges).reshape(-1, 2).T
+    col, start = np.divmod(first, edges.shape[1])
+    events = checked_notes(zip((MIN_PITCH + col).tolist(), (start * tps).tolist(),
+                               ((after - first) * tps).tolist(), repeat(0)))
     # SMF stores PPQ in 15 bits; at the cap a step spans slightly more time.
     ppq = min(max(1, round(tps / spec.step_fraction)), 0x7FFF)
     return write_midi(events, ppq)

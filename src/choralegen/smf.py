@@ -8,7 +8,13 @@ are ignored on read and fixed constants on write (120 BPM, velocity 80).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import defaultdict, deque
+from functools import partial
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import MalformedMidi, UnsupportedFormat
 
@@ -16,26 +22,54 @@ WRITE_VELOCITY = 80
 WRITE_TEMPO_US = 500_000  # 120 BPM
 
 
-@dataclass(frozen=True)
-class NoteEvent:
-    """One sounding note in absolute MIDI ticks."""
-
+class _NoteFields(NamedTuple):
     pitch: int
     onset_ticks: int
     duration_ticks: int
     track: int = 0
 
-    def __post_init__(self):
-        if not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch {self.pitch} outside 0..127")
-        if self.duration_ticks < 1:
+
+class NoteEvent(_NoteFields):
+    """One sounding note in absolute MIDI ticks, an immutable tuple
+    (pitch, onset_ticks, duration_ticks, track). The constructor checks
+    0 <= pitch <= 127, onset_ticks >= 0, duration_ticks >= 1 and that the
+    note ends before tick 2^63, so its ticks fit int64 arrays."""
+
+    __slots__ = ()
+
+    def __new__(cls, pitch: int, onset_ticks: int, duration_ticks: int, track: int = 0):
+        if not 0 <= pitch <= 127:
+            raise ValueError(f"pitch {pitch} outside 0..127")
+        if onset_ticks < 0:
+            raise ValueError("onset_ticks must be >= 0")
+        if duration_ticks < 1:
             raise ValueError("duration_ticks must be >= 1")
+        if onset_ticks + duration_ticks >= 1 << 63:
+            raise ValueError("note must end before tick 2^63")
+        return tuple.__new__(cls, (pitch, onset_ticks, duration_ticks, track))
+
+    @classmethod
+    def _make(cls, iterable):  # also behind _replace; the tuple base skips __new__
+        return cls(*iterable)
 
 
-def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
+def checked_notes(fields) -> list[NoteEvent]:
+    """NoteEvents from (pitch, onset_ticks, duration_ticks, track) tuples
+    that already pass NoteEvent's checks, built without running them again."""
+    return list(map(partial(tuple.__new__, NoteEvent), fields))
+
+
+def note_array(events: list[NoteEvent]) -> np.ndarray:
+    """The events' (pitch, onset_ticks, duration_ticks) as an (n, 3) int64
+    array; the track is left out."""
+    fields = chain.from_iterable(map(itemgetter(0, 1, 2), events))
+    return np.fromiter(fields, np.int64, 3 * len(events)).reshape(-1, 3)
+
+
+def _read_vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
     value = 0
     for _ in range(4):
-        if pos >= len(data):
+        if pos >= end:
             raise MalformedMidi("truncated variable-length quantity")
         byte = data[pos]
         pos += 1
@@ -45,91 +79,94 @@ def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
     raise MalformedMidi("variable-length quantity longer than 4 bytes")
 
 
-def _write_vlq(value: int) -> bytes:
-    if value < 0:
-        raise ValueError("negative delta time")
-    out = [value & 0x7F]
-    value >>= 7
-    while value:
-        out.append(0x80 | (value & 0x7F))
-        value >>= 7
-    return bytes(reversed(out))
+# Data bytes after a status byte: 2 or 1 for channel messages, 0 for meta
+# (0xFF), sysex (0xF0, 0xF7) and the system messages a track may not hold.
+_DATA_BYTES = bytes(0 if s < 0x80 or s >= 0xF0 else 1 if 0xC0 <= s < 0xE0 else 2
+                    for s in range(256))
 
 
-_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
-
-
-def _parse_track(data: bytes, track_index: int) -> list[NoteEvent]:
-    events: list[NoteEvent] = []
-    open_notes: dict[int, list[int]] = {}  # pitch -> onset ticks, FIFO
-    pos = 0
-    tick = 0
-    status = None
-
-    def close(pitch: int, now: int):
-        onsets = open_notes.get(pitch)
-        if onsets:
-            onset = onsets.pop(0)
-            events.append(NoteEvent(pitch, onset, max(1, now - onset), track_index))
-
-    while pos < len(data):
-        delta, pos = _read_vlq(data, pos)
+def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
+    """Append the notes of the track in data[pos:end] to `notes` as
+    (pitch, onset, duration, track) tuples."""
+    opens = defaultdict(deque)  # pitch -> onset ticks of its sounding notes
+    tick = status = 0  # status 0: no running status
+    while pos < end:
+        # Delta time, a VLQ of 1..4 bytes, read here: it precedes every event.
+        delta = data[pos]
+        pos += 1
+        if delta & 0x80:
+            delta &= 0x7F
+            for _ in range(3):
+                if pos >= end:
+                    raise MalformedMidi("truncated variable-length quantity")
+                byte = data[pos]
+                pos += 1
+                delta = (delta << 7) | (byte & 0x7F)
+                if not byte & 0x80:
+                    break
+            else:
+                raise MalformedMidi("variable-length quantity longer than 4 bytes")
         tick += delta
-        if pos >= len(data):
+        if pos >= end:
             raise MalformedMidi("truncated event")
         byte = data[pos]
-        if byte >= 0x80:
+        if byte & 0x80:
             status = byte
             pos += 1
-        elif status is None:
+        elif not status:
             raise MalformedMidi("data byte with no running status")
 
-        if status == 0xFF:
-            if pos >= len(data):
-                raise MalformedMidi("truncated meta event")
-            meta_type = data[pos]
-            length, pos = _read_vlq(data, pos + 1)
-            if pos + length > len(data):
-                raise MalformedMidi("truncated meta event payload")
+        size = _DATA_BYTES[status]
+        if size == 2:
+            if pos + 2 > end:
+                raise MalformedMidi("truncated channel event")
+            key, value = data[pos], data[pos + 1]
+            pos += 2
+            if (key | value) & 0x80:
+                raise MalformedMidi("data byte >= 0x80 in channel event")
+            kind = status & 0xF0
+            if kind == 0x90 and value:
+                opens[key].append(tick)
+            elif kind <= 0x90:  # note-off, or note-on at velocity 0
+                queue = opens[key]
+                if queue:
+                    onset = queue.popleft()
+                    notes.append((key, onset, max(1, tick - onset), track))
+        elif size:
+            if pos >= end:
+                raise MalformedMidi("truncated channel event")
+            if data[pos] & 0x80:
+                raise MalformedMidi("data byte >= 0x80 in channel event")
+            pos += 1
+        elif status == 0xFF or status == 0xF0 or status == 0xF7:
+            meta_type = None
+            if status == 0xFF:
+                if pos >= end:
+                    raise MalformedMidi("truncated meta event")
+                meta_type = data[pos]
+                pos += 1
+            length, pos = _read_vlq(data, pos, end)
+            if pos + length > end:
+                raise MalformedMidi("truncated meta or sysex payload")
             pos += length
-            status = None
+            status = 0
             if meta_type == 0x2F:
                 break
-        elif status in (0xF0, 0xF7):
-            length, pos = _read_vlq(data, pos)
-            if pos + length > len(data):
-                raise MalformedMidi("truncated sysex payload")
-            pos += length
-            status = None
-        elif 0x80 <= status < 0xF0:
-            n = _DATA_BYTES[status & 0xF0]
-            if pos + n > len(data):
-                raise MalformedMidi("truncated channel event")
-            d1 = data[pos]
-            d2 = data[pos + 1] if n == 2 else 0
-            if d1 >= 0x80 or d2 >= 0x80:
-                raise MalformedMidi("data byte >= 0x80 in channel event")
-            pos += n
-            kind = status & 0xF0
-            if kind == 0x90 and d2 > 0:
-                open_notes.setdefault(d1, []).append(tick)
-            elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                close(d1, tick)
         else:
             raise MalformedMidi(f"unexpected status byte 0x{status:02x}")
 
     # Unmatched note-ons are closed at end of track.
-    for pitch, onsets in open_notes.items():
-        for onset in onsets:
-            events.append(NoteEvent(pitch, onset, max(1, tick - onset), track_index))
-    return events
+    for pitch, queue in opens.items():
+        if queue:
+            notes.extend((pitch, onset, max(1, tick - onset), track) for onset in queue)
 
 
 def parse_midi(data: bytes) -> tuple[list[NoteEvent], int]:
     """Parse SMF bytes into note events merged across tracks.
 
     Returns (events, ticks_per_quarter_note). Events are sorted by
-    (onset, pitch, track). Note-on with velocity 0 counts as note-off.
+    (onset, pitch, track). Note-on with velocity 0 counts as note-off, and
+    a pitch's note-offs close its sounding notes first in, first out.
     """
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedMidi("missing MThd header")
@@ -145,7 +182,7 @@ def parse_midi(data: bytes) -> tuple[list[NoteEvent], int]:
     if division == 0:
         raise MalformedMidi("zero ticks per quarter note")
 
-    events: list[NoteEvent] = []
+    notes: list[tuple[int, int, int, int]] = []
     pos = 8 + header_len
     track_index = 0
     while pos < len(data) and track_index < ntrks:
@@ -153,42 +190,57 @@ def parse_midi(data: bytes) -> tuple[list[NoteEvent], int]:
             raise MalformedMidi("truncated chunk header")
         chunk_id = data[pos : pos + 4]
         (chunk_len,) = struct.unpack(">I", data[pos + 4 : pos + 8])
-        if pos + 8 + chunk_len > len(data):
+        start, pos = pos + 8, pos + 8 + chunk_len
+        if pos > len(data):
             raise MalformedMidi("truncated chunk body")
-        body = data[pos + 8 : pos + 8 + chunk_len]
-        pos += 8 + chunk_len
         if chunk_id == b"MTrk":
-            events.extend(_parse_track(body, track_index))
+            _parse_track(data, start, pos, track_index, notes)
             track_index += 1
         # Alien chunks are skipped per the SMF spec.
     if track_index == 0:
         raise MalformedMidi("no MTrk chunk found")
 
-    events.sort(key=lambda e: (e.onset_ticks, e.pitch, e.track))
-    return events, division
+    # A stable sort: notes tied on (onset, pitch, track) keep the order
+    # their track closed them in.
+    notes.sort(key=itemgetter(1, 0, 3))
+    return checked_notes(notes), division
+
+
+# A delta time takes one more VLQ byte at each of these: 2^7, 2^14, ..., 2^56.
+_VLQ_STEPS = 1 << np.arange(7, 63, 7, dtype=np.int64)
+_TEMPO = bytes([0x00, 0xFF, 0x51, 0x03]) + WRITE_TEMPO_US.to_bytes(3, "big")
+_END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])
 
 
 def write_midi(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
     """Serialize note events as a single-track format-0 SMF."""
     if ticks_per_quarter < 1 or ticks_per_quarter > 0x7FFF:
         raise ValueError("ticks_per_quarter out of range")
-    # (tick, order, status, pitch): note-offs sort before note-ons at a tick.
-    channel_events = []
-    for ev in events:
-        channel_events.append((ev.onset_ticks + ev.duration_ticks, 0, 0x80, ev.pitch))
-        channel_events.append((ev.onset_ticks, 1, 0x90, ev.pitch))
-    channel_events.sort()
+    pitch, onset, duration = note_array(events).T
+    # One message per row: every note-off, then every note-on, sorted by
+    # tick, note-offs before note-ons at a tick, then pitch.
+    tick = np.concatenate([onset + duration, onset])
+    is_on = np.arange(tick.size) >= onset.size
+    pitch = np.concatenate([pitch, pitch])
+    order = np.lexsort((pitch, is_on, tick))
+    tick, is_on, pitch = tick[order], is_on[order], pitch[order]
+    delta = np.diff(tick, prepend=0)
+    width = np.searchsorted(_VLQ_STEPS, delta, side="right") + 1
 
-    body = bytearray()
-    body += _write_vlq(0) + bytes([0xFF, 0x51, 0x03]) + struct.pack(">I", WRITE_TEMPO_US)[1:]
-    last_tick = 0
-    for tick, _, status, pitch in channel_events:
-        body += _write_vlq(tick - last_tick)
-        velocity = WRITE_VELOCITY if status == 0x90 else 0x40
-        body += bytes([status, pitch, velocity])
-        last_tick = tick
-    body += _write_vlq(0) + bytes([0xFF, 0x2F, 0x00])
+    # Row k is message k's bytes: its delta's VLQ, most significant group
+    # first, in the first width[k] of `cols` columns, then status, key and
+    # velocity. The unused VLQ columns are dropped as the rows are joined.
+    cols = int(width.max(initial=1))
+    shift = 7 * (width[:, None] - 1 - np.arange(cols))
+    rows = np.empty((tick.size, cols + 3), np.uint8)
+    rows[:, :cols] = (delta[:, None] >> shift.clip(0)) & 0x7F | (shift > 0) * 0x80
+    rows[:, cols] = np.where(is_on, 0x90, 0x80)
+    rows[:, cols + 1] = pitch
+    rows[:, cols + 2] = np.where(is_on, WRITE_VELOCITY, 0x40)
+    used = np.ones(rows.shape, bool)
+    used[:, :cols] = shift >= 0
+    body = rows[used].tobytes()
 
-    out = b"MThd" + struct.pack(">IHHH", 6, 0, 1, ticks_per_quarter)
-    out += b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
-    return out
+    length = len(_TEMPO) + len(body) + len(_END_OF_TRACK)
+    return b"".join([b"MThd", struct.pack(">IHHH", 6, 0, 1, ticks_per_quarter),
+                     b"MTrk", struct.pack(">I", length), _TEMPO, body, _END_OF_TRACK])

@@ -105,6 +105,12 @@ def sealed(body):
     return b"CHLF" + body + struct.pack("<I", zlib.crc32(body))
 
 
+def test_payload_longer_than_header_count_rejected():
+    body = serialize_model(params_fixture())[4:-4]
+    with pytest.raises(ChecksumMismatch, match="payload length"):
+        deserialize_model(sealed(body + bytes(8)))
+
+
 HEADERS = st.builds(lambda v, n_in, n_b, n_out, count, tail: struct.pack(
     "<IIIIQ", v, n_in, n_b, n_out, count) + tail,
     st.sampled_from([1, 1, 0, 2]), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),

@@ -225,6 +225,15 @@ def test_quantize_refuses_a_2_27_tick_note():
         quantize(events, QuantizationSpec.for_ppq(ppq))
 
 
+def test_render_refuses_ticks_past_2_63():
+    # NoteEvent ticks must fit int64; 2 steps of 2^62 ticks end at 2^63.
+    roll = PianoRoll(np.ones((2, 88)))
+    below = QuantizationSpec((1 << 62) - 1)
+    assert render_midi(roll, below) == render_reference(roll, below)
+    with pytest.raises(TooLong, match="2\\^63"):
+        render_midi(roll, QuantizationSpec(1 << 62))
+
+
 def test_spec_rejects_bad_step_fraction():
     for bad in (0.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step_fraction"):
