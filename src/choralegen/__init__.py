@@ -7,12 +7,12 @@ multi-label F1 and frame-level accuracy.
 """
 
 from .network import NetworkConfig, NetworkParams, forward_sequence, init_params, mse_loss
-from .pianoroll import PianoRoll, QuantizationSpec, load_corpus, quantize, to_supervised
+from .pianoroll import PianoRoll, QuantizationSpec, load_corpus, quantize
 from .runner import GenerationConfig, TrainConfig, generate, reconstruct, train
 
 __all__ = [
     "NetworkConfig", "NetworkParams", "forward_sequence", "init_params", "mse_loss",
-    "PianoRoll", "QuantizationSpec", "load_corpus", "quantize", "to_supervised",
+    "PianoRoll", "QuantizationSpec", "load_corpus", "quantize",
     "GenerationConfig", "TrainConfig", "generate", "reconstruct", "train",
 ]
 

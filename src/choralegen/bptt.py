@@ -9,10 +9,6 @@ import numpy as np
 from .errors import LengthMismatch, NonFiniteGradient
 from .network import ForwardTrace, NetworkParams, forward_sequence, mse_loss
 
-# A gradient set is shape-congruent with the params it was computed for.
-GradientSet = NetworkParams
-
-
 # Rows per block of the weight-gradient sums. Each block is one matrix
 # product whose reduction is short enough that OpenBLAS rounds it the same
 # at every thread count; the blocks are then added in row order.
@@ -28,7 +24,7 @@ def _blocked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray):
 
 def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
              loss_scale: float = 1.0, lengths=None,
-             window: int | None = None) -> GradientSet:
+             window: int | None = None) -> NetworkParams:
     """dE/dtheta for E = loss_scale * sum_n mse_n, mse_n being the mean
     squared error over the first T_n rows of sequence n.
 
@@ -117,7 +113,8 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     return grads
 
 
-def add_into(total: GradientSet, extra: GradientSet) -> GradientSet:
+# Kept only because perfbench/tracing.WORK traces it by name (ROADMAP item 1).
+def add_into(total: NetworkParams, extra: NetworkParams) -> NetworkParams:
     """In-place elementwise sum; returns total."""
     total.check_congruent(extra)
     total.vector += extra.vector
@@ -126,7 +123,7 @@ def add_into(total: GradientSet, extra: GradientSet) -> GradientSet:
 
 def finite_diff_gradient(params: NetworkParams, inputs: np.ndarray,
                          targets: np.ndarray, h: float = 1e-5,
-                         lengths=None) -> GradientSet:
+                         lengths=None) -> NetworkParams:
     """Central difference (E(w+h) - E(w-h)) / 2h per parameter, of the loss
     `backward` differentiates: the sum over sequences of each one's MSE over
     its first T_n rows (`lengths`; None: all rows).
@@ -152,10 +149,10 @@ def finite_diff_gradient(params: NetworkParams, inputs: np.ndarray,
         bumped[k] = base[k] - h
         down = loss(bumped)
         grad[k] = (up - down) / (2.0 * h)
-    return params.zeros_like().with_flat(grad)
+    return params.with_flat(grad)
 
 
-def max_relative_error(analytic: GradientSet, numeric: GradientSet) -> float:
+def max_relative_error(analytic: NetworkParams, numeric: NetworkParams) -> float:
     """Max-norm relative disagreement: ||a - n||_inf / max(||a||_inf, ||n||_inf)."""
     a = analytic.flatten()
     n = numeric.flatten()

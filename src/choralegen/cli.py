@@ -53,8 +53,9 @@ def cmd_generate(args) -> int:
     seed_roll, spec = load_roll(args.seed_midi, config.step_fraction)
     seed = seed_roll.frames[: config.generation.seed_frames]
     roll = runner.generate(params, seed, config.generation)
+    data = render_midi(roll, spec)  # before --out is opened: a failed render writes no file
     with open(args.out, "wb") as fh:
-        fh.write(render_midi(roll, spec))
+        fh.write(data)
     print(f"wrote {len(roll)} frames to {args.out}")
     return 0
 
@@ -79,8 +80,9 @@ def cmd_reconstruct(args) -> int:
     rendition, accuracy = runner.reconstruct(params, original, config.generation)
     print(f"frame accuracy: {accuracy:.4f}")
     if args.out:
+        data = render_midi(rendition, spec)
         with open(args.out, "wb") as fh:
-            fh.write(render_midi(rendition, spec))
+            fh.write(data)
         print(f"rendition written to {args.out}")
     return 0
 

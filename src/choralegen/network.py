@@ -134,13 +134,6 @@ def _sigmoid_inplace(a: np.ndarray):
     np.divide(1.0, a, out=a)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.array(z, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        _sigmoid_inplace(out)
-    return out
-
-
 def _lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray):
     """One timestep of the LSTM equations, the only copy of them.
 
@@ -183,14 +176,6 @@ class ForwardTrace:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def _gate(self, k: int) -> np.ndarray:
-        nb = self.cell_states.shape[-1]
-        return self.gates[..., k * nb : (k + 1) * nb]
-
-    gate_in = property(lambda self: self._gate(0))
-    gate_forget = property(lambda self: self._gate(1))
-    gate_out = property(lambda self: self._gate(2))
 
     def final_state(self) -> StepState:
         return StepState(self.cell_states[-1], self.block_outputs[-1])
@@ -236,6 +221,7 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray,
     return ForwardTrace(inputs, gates, cells, outputs, y, init)
 
 
+# Kept only because perfbench/tracing.WORK traces it by name (ROADMAP item 1).
 def forward_step(params: NetworkParams, x: np.ndarray,
                  prev: StepState) -> tuple[np.ndarray, StepState]:
     """One timestep: the prediction and the state after it."""

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bptt import GradientSet
 from .network import NetworkParams
 
 
@@ -58,7 +57,7 @@ def rprop_init(params: NetworkParams, config: RPropConfig) -> RPropState:
     return RPropState(deltas, params.zeros_like(), params.zeros_like())
 
 
-def rprop_step(params: NetworkParams, grads: GradientSet, state: RPropState,
+def rprop_step(params: NetworkParams, grads: NetworkParams, state: RPropState,
                config: RPropConfig) -> tuple[NetworkParams, RPropState]:
     """One batch update. Per weight: grow the step on a repeated gradient
     sign, shrink it on a sign flip, then move by the step against the
@@ -83,7 +82,7 @@ def rprop_step(params: NetworkParams, grads: GradientSet, state: RPropState,
                                            params.with_flat(sign), params.with_flat(dw))
 
 
-def gd_step(params: NetworkParams, grads: GradientSet, config: GDConfig) -> NetworkParams:
+def gd_step(params: NetworkParams, grads: NetworkParams, config: GDConfig) -> NetworkParams:
     """Plain batch gradient descent: w <- w - lr * dE/dw."""
     params.check_congruent(grads)
     return params.with_flat(params.vector - config.learning_rate * grads.vector)

@@ -1,4 +1,4 @@
-"""Piano-roll representation: quantization, supervised pairs, corpus loading.
+"""Piano-roll representation: quantization, next-frame stacks, corpus loading.
 
 A roll is a T x 88 binary matrix; column 0 is A0 (MIDI 21), column 87 is
 C8 (MIDI 108). Row t holds every pitch sounding during step t.
@@ -67,26 +67,15 @@ class PianoRoll:
         return self.frames.shape[0]
 
 
-@dataclass
-class SupervisedSequence:
-    """Next-frame prediction pairs: target row k is input row k+1."""
-
-    inputs: np.ndarray  # rows 0..T-2
-    targets: np.ndarray  # rows 1..T-1
-    source_id: str = ""
-
-
-def to_supervised(roll: PianoRoll) -> SupervisedSequence:
-    if len(roll) < 2:
-        raise TooShort(f"{roll.source_id or 'roll'}: need >= 2 frames, got {len(roll)}")
-    return SupervisedSequence(roll.frames[:-1], roll.frames[1:], roll.source_id)
-
-
 def frame_stack(rolls: list[PianoRoll]) -> tuple[np.ndarray, list[int]]:
     """The rolls as one zero-padded (T_max + 1, N, 88) array, roll n in
     column n, and each roll's number of next-frame pairs T_n = len - 1.
-    `stack[:-1]` are the inputs and `stack[1:]` the targets."""
-    lengths = [len(to_supervised(roll).targets) for roll in rolls]  # TooShort if < 2 frames
+    `stack[:-1]` are the inputs and `stack[1:]` the targets. A roll of
+    fewer than 2 frames has no pair and raises TooShort."""
+    for roll in rolls:
+        if len(roll) < 2:
+            raise TooShort(f"{roll.source_id or 'roll'}: need >= 2 frames, got {len(roll)}")
+    lengths = [len(roll) - 1 for roll in rolls]
     stack = np.zeros((max(lengths) + 1, len(rolls), NUM_PITCHES))
     for n, roll in enumerate(rolls):
         stack[: len(roll), n] = roll.frames

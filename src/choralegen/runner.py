@@ -9,13 +9,13 @@ thresholded predictions back as the next input.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bptt import backward
 from .errors import (EmptyCorpus, NonFiniteActivation, NonFiniteGradient,
-                     NonFiniteLoss)
+                     NonFiniteLoss, TooShort)
 from .metrics import frame_accuracy
 from .network import (NetworkParams, _lstm_cell, _sigmoid_inplace,
                       forward_sequence)
@@ -133,9 +133,10 @@ def format_history(history: TrainHistory) -> str:
 
 
 def generate(params: NetworkParams, seed_frames: np.ndarray,
-             config: GenerationConfig, num_steps: int | None = None) -> PianoRoll:
-    """Feed the seed, then free-run: threshold each prediction into a
-    binary frame, append it, and feed it (or the raw probabilities) back.
+             config: GenerationConfig) -> PianoRoll:
+    """Feed the seed, then free-run for config.num_steps steps: threshold
+    each prediction into a binary frame, append it, and feed it (or the
+    raw probabilities) back.
 
     The seed runs as one `forward_sequence`; each free-running step then
     reuses preallocated buffers and one fused [w_x | w_h] @ [x; h] product.
@@ -145,9 +146,7 @@ def generate(params: NetworkParams, seed_frames: np.ndarray,
     seed_frames = np.asarray(seed_frames, dtype=np.float64)
     if seed_frames.ndim != 2 or seed_frames.shape[0] < 1:
         raise ValueError("seed must be a non-empty (S, 88) array")
-    steps = config.num_steps if num_steps is None else num_steps
-    if steps < 0:
-        raise ValueError("num_steps must be >= 0")
+    steps = config.num_steps
     seeded = forward_sequence(params, seed_frames)
     ni, nb = params.num_inputs, params.num_blocks
     s = len(seed_frames)
@@ -186,8 +185,8 @@ def reconstruct(params: NetworkParams, original: PianoRoll,
     """Seed with the opening frames, free-run to the original's length,
     and score the result with frame-level accuracy."""
     if len(original) < 2:
-        raise ValueError("original must have >= 2 frames")
+        raise TooShort(f"{original.source_id or 'roll'}: need >= 2 frames, got {len(original)}")
     seed = original.frames[: config.seed_frames]
-    rendition = generate(params, seed, config, num_steps=len(original) - len(seed))
+    rendition = generate(params, seed, replace(config, num_steps=len(original) - len(seed)))
     accuracy = frame_accuracy([(rendition.frames, original.frames)])
     return rendition, accuracy

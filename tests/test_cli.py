@@ -196,6 +196,30 @@ def test_too_long_seed_exit_1(workspace, capsys, command):
     assert not out.exists()
 
 
+def test_reconstruct_one_frame_piece_exit_1(workspace, capsys):
+    one = workspace / "one.mid"
+    one.write_bytes(write_midi([NoteEvent(60, 0, 240)], 480))  # one eighth-note step
+    assert main(["reconstruct", "--model", untrained_model(workspace),
+                 "--midi", str(one)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: one.mid:") and ">= 2 frames" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_generate_failed_render_writes_no_file(workspace, capsys):
+    # One step of 480e18 ticks: the 5-frame rendition passes 2^63 ticks.
+    (workspace / "run.cfg").write_text("step_fraction = 1e18\n")
+    out = workspace / "gen.mid"
+    assert main(["generate", "--config", str(workspace / "run.cfg"),
+                 "--model", untrained_model(workspace),
+                 "--seed-midi", str(workspace / "corpus" / "train" / "piece.mid"),
+                 "--steps", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2^63 ticks" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_train_skips_too_long_midi(workspace, capsys):
     (workspace / "corpus" / "train" / "huge.mid").write_bytes(huge_midi())
     assert main(train_args(workspace)) == 0

@@ -4,7 +4,7 @@ import pytest
 from choralegen.errors import LengthMismatch, NonFiniteActivation
 from choralegen.network import (MAX_PARAMS, NetworkConfig, StepState,
                                 forward_sequence, forward_step, init_params,
-                                mse_loss, param_count, sigmoid)
+                                mse_loss, param_count)
 
 
 def small_config(**kw):
@@ -69,7 +69,7 @@ def test_cell_decay_closed_form():
     params = init_params(small_config(init_scale=0.0))
     c0 = np.array([0.8, -0.3, 0.5, 1.2])
     state = StepState(c0.copy(), np.zeros(4))
-    decay = float(sigmoid(np.array([1.0]))[0])
+    decay = 1.0 / (1.0 + np.exp(-1.0))
     for t in range(1, 4):
         _, state = forward_step(params, np.zeros(3), state)
         assert np.allclose(state.cell_states, decay ** t * c0, rtol=1e-12)
@@ -78,7 +78,7 @@ def test_cell_decay_closed_form():
 def test_gate_ranges():
     params = init_params(small_config(init_scale=2.0))
     trace = forward_sequence(params, np.ones((6, 3)))
-    for gates in (trace.gate_in, trace.gate_forget, trace.gate_out):
+    for gates in np.split(trace.gates, 4, axis=-1)[:3]:  # input, forget, output
         assert np.all((gates > 0) & (gates < 1))
     assert np.all((trace.block_outputs > -1) & (trace.block_outputs < 1))
 

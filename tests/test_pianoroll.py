@@ -13,8 +13,8 @@ from choralegen.errors import (EmptyAfterQuantization, EmptyCorpus,
                                UnsupportedFormat)
 from choralegen.pianoroll import (MIN_PITCH, NUM_PITCHES, PianoRoll,
                                   QuantizationSpec, format_pianoroll_text,
-                                  load_corpus, load_roll, parse_pianoroll_text,
-                                  quantize, render_midi, to_supervised)
+                                  frame_stack, load_corpus, load_roll,
+                                  parse_pianoroll_text, quantize, render_midi)
 from choralegen.smf import NoteEvent, parse_midi, write_midi
 
 SPEC = QuantizationSpec(ticks_per_step=240)
@@ -110,26 +110,27 @@ def test_quantize_empty_raises():
         quantize([], SPEC)
 
 
-def test_to_supervised_minimal():
+def test_frame_stack_minimal():
     frames = np.zeros((2, 88))
     frames[0, 5] = frames[1, 6] = 1.0
-    sup = to_supervised(PianoRoll(frames))
+    stack, _ = frame_stack([PianoRoll(frames)])
     roll = PianoRoll(frames)
-    assert np.array_equal(sup.inputs, roll.frames[:1])
-    assert np.array_equal(sup.targets, roll.frames[1:])
+    assert np.array_equal(stack[:-1, 0], roll.frames[:1])
+    assert np.array_equal(stack[1:, 0], roll.frames[1:])
 
 
-def test_to_supervised_shift_property():
+def test_frame_stack_shift_property():
     rng = np.random.Generator(np.random.PCG64(7))
     roll = PianoRoll((rng.uniform(0, 1, (9, 88)) < 0.1).astype(float))
-    sup = to_supervised(roll)
-    assert len(sup.inputs) == len(roll) - 1
-    assert np.array_equal(sup.targets[:-1], sup.inputs[1:])
+    stack, lengths = frame_stack([roll])
+    inputs, targets = stack[:-1, 0], stack[1:, 0]
+    assert lengths == [len(roll) - 1] and len(inputs) == len(roll) - 1
+    assert np.array_equal(targets[:-1], inputs[1:])
 
 
-def test_to_supervised_too_short():
+def test_frame_stack_too_short():
     with pytest.raises(TooShort):
-        to_supervised(PianoRoll(np.zeros((1, 88))))
+        frame_stack([PianoRoll(np.zeros((1, 88)))])
 
 
 def test_render_merges_consecutive_steps():

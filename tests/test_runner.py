@@ -124,7 +124,7 @@ def test_next_frame_learned_alternation():
 def test_generate_zero_steps_returns_seed():
     params = small_net()
     seed = alternating_roll().frames[:3]
-    out = generate(params, seed, GenerationConfig(num_steps=5), num_steps=0)
+    out = generate(params, seed, GenerationConfig(num_steps=0))
     assert np.array_equal(out.frames, seed)
 
 
@@ -132,9 +132,6 @@ def test_negative_counts_rejected():
     for bad in (dict(num_steps=-1), dict(seed_frames=0), dict(top_k=0), dict(top_k=-2)):
         with pytest.raises(ValueError):
             GenerationConfig(**bad)
-    with pytest.raises(ValueError):
-        generate(small_net(), alternating_roll().frames[:1], GenerationConfig(),
-                 num_steps=-5)
 
 
 def test_truncation_window_below_one_rejected():
