@@ -17,24 +17,27 @@ from . import bptt, metrics, model_io, runner
 from .config import KEYS, load_run_config
 from .errors import ChecksumMismatch, Error, NonFiniteLoss, VersionMismatch
 from .network import PARAM_FIELDS, NetworkConfig, forward_sequence, init_params
-from .pianoroll import load_corpus, load_roll, render_midi
+from .pianoroll import Corpus, load_corpus, load_roll, render_midi
 
 CORPUS_ENV = "CHORALEGEN_CORPUS"
 EXIT_CODES = {NonFiniteLoss: 2, ChecksumMismatch: 3, VersionMismatch: 3}  # other errors: 1
 
 
-def _corpus_dir(args) -> str:
+def _corpus(args, step_fraction: float) -> Corpus:
+    """The corpus at --corpus or $CHORALEGEN_CORPUS; one warning line per
+    skipped file."""
     directory = args.corpus or os.environ.get(CORPUS_ENV)
     if not directory:
         raise Error(f"no corpus directory given (flag --corpus or ${CORPUS_ENV})")
-    return directory
+    corpus = load_corpus(directory, step_fraction)
+    for warning in corpus.warnings:
+        print(f"warning: skipped {warning}", file=sys.stderr)
+    return corpus
 
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.settings)
-    corpus = load_corpus(_corpus_dir(args), config.step_fraction)
-    for warning in corpus.warnings:
-        print(f"warning: skipped {warning}", file=sys.stderr)
+    corpus = _corpus(args, config.step_fraction)
     params, history = runner.train(corpus.train, init_params(config.network),
                                    config.optimizer_config(), config.train, log=print)
     model_io.save_model(args.out, params)
@@ -63,7 +66,7 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_run_config(args.config, args.settings)
     params = model_io.load_model(args.model)
-    corpus = load_corpus(_corpus_dir(args), config.step_fraction)
+    corpus = _corpus(args, config.step_fraction)
     if not corpus.test:
         raise Error("test split is empty")
     report = metrics.evaluate(params, corpus.test, config.generation.threshold)

@@ -23,7 +23,9 @@ class TooShort(Error):
 
 class TooLong(Error):
     """Quantized note events would span more than `pianoroll.MAX_STEPS` steps,
-    or a rendered roll would reach past MIDI tick 2^63."""
+    a rendered roll would reach past MIDI tick 2^63, or a written MIDI
+    file would need a delta time of 2^28 ticks or more, past SMF's 4-byte
+    limit."""
 
 
 class EmptyCorpus(Error):

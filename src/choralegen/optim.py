@@ -47,39 +47,36 @@ class GDConfig:
 
 @dataclass
 class RPropState:
-    step_sizes: NetworkParams      # all entries in [delta_min, delta_max]
-    prev_grad_sign: NetworkParams  # entries in {-1, 0, +1}
-    prev_weight_delta: NetworkParams
+    """Per-weight vectors in the `NetworkParams.vector` layout."""
+    step_sizes: np.ndarray  # in [delta_min, delta_max]: start at delta_zero, clipped each step
+    prev_grad_sign: np.ndarray  # entries in {-1, 0, +1}
+    prev_weight_delta: np.ndarray
 
 
 def rprop_init(params: NetworkParams, config: RPropConfig) -> RPropState:
-    deltas = params.with_flat(np.full(params.size(), config.delta_zero))
-    return RPropState(deltas, params.zeros_like(), params.zeros_like())
+    n = params.size()
+    return RPropState(np.full(n, config.delta_zero), np.zeros(n), np.zeros(n))
 
 
 def rprop_step(params: NetworkParams, grads: NetworkParams, state: RPropState,
                config: RPropConfig) -> tuple[NetworkParams, RPropState]:
-    """One batch update. Per weight: grow the step on a repeated gradient
-    sign, shrink it on a sign flip, then move by the step against the
-    current sign. Zero gradient leaves both weight and step untouched."""
+    """One batch update. Per weight: grow the step by eta_plus on a repeated
+    gradient sign, shrink it by eta_minus on a sign flip, clip it into
+    [delta_min, delta_max], then move by it against the current sign. Zero
+    gradient leaves both weight and step untouched."""
     params.check_congruent(grads)
-    w = params.vector.copy()
-    delta = state.step_sizes.vector.copy()
     sign = np.sign(grads.vector)
-    agree = state.prev_grad_sign.vector * sign
-    grew = agree > 0
-    flipped = agree < 0
-    delta[grew] = np.minimum(delta[grew] * config.eta_plus, config.delta_max)
-    delta[flipped] = np.maximum(delta[flipped] * config.eta_minus, config.delta_min)
-
+    agree = (state.prev_grad_sign * sign).astype(np.intp)  # -1 flip, 0 none, +1 repeat
+    factor = np.array([config.eta_minus, 1.0, config.eta_plus])[agree + 1]
+    delta = np.clip(state.step_sizes * factor, config.delta_min, config.delta_max)
+    w = params.vector.copy()
     if config.variant == "with_backtracking":
-        w[flipped] -= state.prev_weight_delta.vector[flipped]
-        sign = np.where(flipped, 0.0, sign)  # skip the next adaptation
-
+        flipped = agree < 0
+        w[flipped] -= state.prev_weight_delta[flipped]
+        sign[flipped] = 0.0  # skip the next adaptation
     dw = -delta * sign
     w += dw
-    return params.with_flat(w), RPropState(params.with_flat(delta),
-                                           params.with_flat(sign), params.with_flat(dw))
+    return params.with_flat(w), RPropState(delta, sign, dw)
 
 
 def gd_step(params: NetworkParams, grads: NetworkParams, config: GDConfig) -> NetworkParams:

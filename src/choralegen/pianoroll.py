@@ -164,7 +164,10 @@ def _load_split(split_dir: str, step_fraction: float, warnings: list[str]) -> li
             continue
         path = os.path.join(split_dir, name)
         try:
-            rolls.append(load_roll(path, step_fraction)[0])
+            roll = load_roll(path, step_fraction)[0]
+            if len(roll) < 2:
+                raise TooShort(f"need >= 2 frames, got {len(roll)}")
+            rolls.append(roll)
         except (Error, OSError) as exc:
             warnings.append(f"{path}: {exc}")
     return rolls
@@ -173,8 +176,9 @@ def _load_split(split_dir: str, step_fraction: float, warnings: list[str]) -> li
 def load_corpus(directory: str, step_fraction: float = DEFAULT_STEP_FRACTION) -> Corpus:
     """Read train/, valid/, test/ subdirectories of quantized MIDI files.
 
-    Files are loaded in lexicographic order; unparseable files are
-    recorded in .warnings and skipped.
+    Files are loaded in lexicographic order; files that cannot be read,
+    or give a roll of fewer than 2 frames, are recorded in .warnings and
+    skipped.
     """
     corpus = Corpus()
     for split in ("train", "valid", "test"):

@@ -21,7 +21,7 @@ from .network import (NetworkParams, _lstm_cell, _sigmoid_inplace,
                       forward_sequence)
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
-from .pianoroll import PianoRoll, frame_stack
+from .pianoroll import MAX_STEPS, PianoRoll, frame_stack
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class GenerationConfig:
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
         if self.fallback not in ("silence", "top_k"):
             raise ValueError(f"unknown fallback {self.fallback!r}")
-        if self.num_steps < 0:
-            raise ValueError("num_steps must be >= 0")
+        if not 0 <= self.num_steps <= MAX_STEPS:
+            raise ValueError(f"num_steps must be in [0, MAX_STEPS = {MAX_STEPS}]")
         if min(self.seed_frames, self.top_k) < 1:
             raise ValueError("seed_frames and top_k must be >= 1")
 
@@ -107,8 +107,6 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
         mse = sum(float(np.sum((trace.y[:m, n] - targets[:m, n]) ** 2))
                   for n, m in enumerate(lengths)) / total_entries
         del trace  # before the next epoch's forward allocates its own
-        if not np.isfinite(mse):
-            raise NonFiniteLoss(epoch)
         history.mse.append(mse)
         history.epochs_run = epoch + 1
         history.epoch_seconds.append(time.perf_counter() - start)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedMidi, UnsupportedFormat
+from .errors import MalformedMidi, TooLong, UnsupportedFormat
 
 WRITE_VELOCITY = 80
 WRITE_TEMPO_US = 500_000  # 120 BPM
@@ -206,14 +206,17 @@ def parse_midi(data: bytes) -> tuple[list[NoteEvent], int]:
     return checked_notes(notes), division
 
 
-# A delta time takes one more VLQ byte at each of these: 2^7, 2^14, ..., 2^56.
-_VLQ_STEPS = 1 << np.arange(7, 63, 7, dtype=np.int64)
+# A delta time takes one more VLQ byte at each of these: 2^7, 2^14, 2^21.
+# SMF allows at most 4 bytes, so a delta must stay below 2^28 ticks.
+_VLQ_STEPS = 1 << np.arange(7, 28, 7, dtype=np.int64)
 _TEMPO = bytes([0x00, 0xFF, 0x51, 0x03]) + WRITE_TEMPO_US.to_bytes(3, "big")
 _END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])
 
 
 def write_midi(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
-    """Serialize note events as a single-track format-0 SMF."""
+    """Serialize note events as a single-track format-0 SMF. Raises
+    TooLong if an event comes 2^28 ticks or more after the one before it
+    (or after tick 0), a gap no 4-byte delta time can hold."""
     if ticks_per_quarter < 1 or ticks_per_quarter > 0x7FFF:
         raise ValueError("ticks_per_quarter out of range")
     pitch, onset, duration = note_array(events).T
@@ -225,6 +228,9 @@ def write_midi(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
     order = np.lexsort((pitch, is_on, tick))
     tick, is_on, pitch = tick[order], is_on[order], pitch[order]
     delta = np.diff(tick, prepend=0)
+    if delta.max(initial=0) >= 1 << 28:
+        raise TooLong(f"a gap of {int(delta.max())} ticks between MIDI events "
+                      "reaches 2^28, past SMF's 4-byte delta time")
     width = np.searchsorted(_VLQ_STEPS, delta, side="right") + 1
 
     # Row k is message k's bytes: its delta's VLQ, most significant group

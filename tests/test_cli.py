@@ -220,6 +220,40 @@ def test_generate_failed_render_writes_no_file(workspace, capsys):
     assert not out.exists()
 
 
+def one_frame_midi():
+    return write_midi([NoteEvent(60, 0, 240)], 480)  # one eighth-note step
+
+
+def test_train_skips_one_frame_midi(workspace, capsys):
+    (workspace / "corpus" / "train" / "b.mid").write_bytes(one_frame_midi())
+    assert main(train_args(workspace)) == 0
+    err = capsys.readouterr().err
+    assert "warning: skipped" in err and "b.mid" in err and ">= 2 frames" in err
+
+
+def test_evaluate_skips_one_frame_midi(workspace, capsys):
+    (workspace / "corpus" / "test" / "b.mid").write_bytes(one_frame_midi())
+    assert main(["evaluate", "--model", untrained_model(workspace),
+                 "--corpus", str(workspace / "corpus")]) == 0
+    err = capsys.readouterr().err
+    assert "warning: skipped" in err and "b.mid" in err and ">= 2 frames" in err
+
+
+def test_generate_unwritable_delta_exit_1(workspace, capsys):
+    # PPQ 480 at a million quarter notes per step: 4.8e8 ticks per step, so
+    # every gap needs a 5-byte delta time, more than SMF allows.
+    (workspace / "run.cfg").write_text("step_fraction = 1e6\n")
+    out = workspace / "gen.mid"
+    assert main(["generate", "--config", str(workspace / "run.cfg"),
+                 "--model", untrained_model(workspace),
+                 "--seed-midi", str(workspace / "corpus" / "train" / "piece.mid"),
+                 "--steps", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2^28" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_train_skips_too_long_midi(workspace, capsys):
     (workspace / "corpus" / "train" / "huge.mid").write_bytes(huge_midi())
     assert main(train_args(workspace)) == 0
@@ -332,6 +366,18 @@ def test_bad_steps_exit_1(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --steps: invalid literal")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("steps", ["65537", "100000000000"])
+def test_too_many_steps_exit_1(workspace, capsys, steps):
+    # Checked at load: the roll is never allocated.
+    assert main(["generate", "--model", untrained_model(workspace),
+                 "--seed-midi", str(workspace / "corpus" / "train" / "piece.mid"),
+                 "--steps", steps, "--out", str(workspace / "gen.mid")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --steps:") and "MAX_STEPS" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workspace / "gen.mid").exists()
 
 
 def test_non_utf8_config_exit_1(workspace, capsys):

@@ -156,6 +156,42 @@ def test_midi_round_trip_property(seed):
     assert np.array_equal(quantize(events, SPEC).frames, frames)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.one_of(st.integers(1, 1 << 30),
+                 st.sampled_from([(1 << 27) - 1, 1 << 27, (1 << 28) - 1, 1 << 28])),
+       STEP_FRACTIONS)
+def test_rendered_midi_parses_back_or_raises_too_long(num_frames, seed, tps, step_fraction):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    frames = (rng.uniform(0, 1, (num_frames, 88)) < 0.08).astype(float)
+    frames[-1, 0] = 1.0  # non-silent tail so the length survives the trip
+    spec = QuantizationSpec(tps, step_fraction)
+    try:
+        data = render_midi(PianoRoll(frames), spec)
+    except TooLong:
+        # No gap between events exceeds the roll's span.
+        assert num_frames * tps >= 1 << 28
+        return
+    events, _ = parse_midi(data)
+    assert np.array_equal(quantize(events, spec).frames, frames)
+
+
+def test_render_refuses_a_delta_of_2_28_ticks():
+    # A 4-step roll at PPQ 480 and a million quarter notes per step: every
+    # gap is 4.8e8 ticks, a 5-byte delta time.
+    frames = np.zeros((4, 88))
+    frames[-1, 39] = 1.0
+    with pytest.raises(TooLong, match="2\\^28"):
+        render_midi(PianoRoll(frames), QuantizationSpec.for_ppq(480, 1e6))
+    # One note over both steps: its note-off comes 2 * ticks_per_step after its note-on.
+    roll = PianoRoll(np.ones((2, 88)))
+    below = QuantizationSpec((1 << 27) - 1)
+    events, _ = parse_midi(render_midi(roll, below))
+    assert np.array_equal(quantize(events, below).frames, roll.frames)
+    with pytest.raises(TooLong, match="2\\^28"):
+        render_midi(roll, QuantizationSpec(1 << 27))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
        st.integers(0, 2**32 - 1), st.integers(1, 500), STEP_FRACTIONS)
@@ -229,8 +265,8 @@ def test_quantize_refuses_a_2_27_tick_note():
 def test_render_refuses_ticks_past_2_63():
     # NoteEvent ticks must fit int64; 2 steps of 2^62 ticks end at 2^63.
     roll = PianoRoll(np.ones((2, 88)))
-    below = QuantizationSpec((1 << 62) - 1)
-    assert render_midi(roll, below) == render_reference(roll, below)
+    with pytest.raises(TooLong, match="2\\^28"):  # renderable ticks, but no 4-byte delta
+        render_midi(roll, QuantizationSpec((1 << 62) - 1))
     with pytest.raises(TooLong, match="2\\^63"):
         render_midi(roll, QuantizationSpec(1 << 62))
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from choralegen.errors import MalformedMidi, UnsupportedFormat
+from choralegen.errors import MalformedMidi, TooLong, UnsupportedFormat
 from choralegen.smf import NoteEvent, parse_midi, write_midi
 
 
@@ -157,6 +157,8 @@ def write_reference(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
     body += vlq(0) + bytes([0xFF, 0x51, 0x03]) + struct.pack(">I", 500_000)[1:]
     last_tick = 0
     for tick, _, status, pitch in channel_events:
+        if tick - last_tick >= 1 << 28:
+            raise TooLong("delta time past 4 bytes")
         body += vlq(tick - last_tick)
         velocity = 80 if status == 0x90 else 0x40
         body += bytes([status, pitch, velocity])
@@ -356,7 +358,7 @@ def test_parse_midi_matches_reference(data):
 
 
 # Ticks on each side of each VLQ width boundary from 1 to 6 bytes, and
-# deltas of 7 and 9 bytes, which no SMF reader takes but the writer writes.
+# deltas of 7 and 9 bytes: from 5 bytes on, both writers raise TooLong.
 _BOUNDARY_TICKS = [0, 1, 127, 128, 16383, 16384, (1 << 21) - 1, 1 << 21,
                    (1 << 28) - 1, 1 << 28, (1 << 35) - 1, 1 << 35, 1 << 42, 1 << 56]
 _TICKS = st.one_of(st.sampled_from(_BOUNDARY_TICKS), st.integers(0, 2000))
@@ -379,7 +381,8 @@ def _with_abutting_and_duplicate(events):
 @given(_WRITE_EVENTS.map(_with_abutting_and_duplicate), st.sampled_from([1, 96, 480, 0x7FFF]))
 @example([], 480)
 def test_write_midi_matches_reference(events, ticks_per_quarter):
-    assert write_midi(events, ticks_per_quarter) == write_reference(events, ticks_per_quarter)
+    assert (outcome(lambda e: write_midi(e, ticks_per_quarter), events)
+            == outcome(lambda e: write_reference(e, ticks_per_quarter), events))
 
 
 def test_write_midi_rejects_bad_ppq():

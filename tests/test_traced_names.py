@@ -37,8 +37,11 @@ def test_tracer_counts_work_of_a_small_pass():
     tracer.install()
     try:
         params = network.init_params(network.NetworkConfig(num_blocks=4))
-        params, _ = runner.train([roll], params, optim.RPropConfig(),
-                                 runner.TrainConfig(max_epochs=1))
+        # One epoch under each optimizer path: two RProp steps, none for GD.
+        one_epoch = runner.TrainConfig(max_epochs=1)
+        runner.train([roll], params, optim.GDConfig(), one_epoch)
+        runner.train([roll], params, optim.RPropConfig(variant="with_backtracking"), one_epoch)
+        params, _ = runner.train([roll], params, optim.RPropConfig(), one_epoch)
         generated = runner.generate(params, roll.frames[:2],
                                     runner.GenerationConfig(num_steps=3))
         metrics.evaluate(params, [roll])
@@ -54,3 +57,5 @@ def test_tracer_counts_work_of_a_small_pass():
     for name in ("network.forward_sequence", "bptt.backward", "optim.rprop_step",
                  "smf.parse_midi", "pianoroll.quantize"):
         assert totals[name]["work"] > 0, name
+    rprop = totals["optim.rprop_step"]
+    assert rprop["calls"] == 2 and rprop["work"] == rprop["calls"] * params.size()
