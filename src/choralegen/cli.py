@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import bptt, metrics, model_io, runner
-from .config import KEYS, load_run_config
+from .config import KEYS, RunConfig, load_run_config
 from .errors import ChecksumMismatch, Error, NonFiniteLoss, VersionMismatch
 from .network import PARAM_FIELDS, NetworkConfig, forward_sequence, init_params
 from .pianoroll import Corpus, load_corpus, load_roll, render_midi
@@ -35,8 +35,7 @@ def _corpus(args, step_fraction: float) -> Corpus:
     return corpus
 
 
-def cmd_train(args) -> int:
-    config = load_run_config(args.config, args.settings)
+def cmd_train(args, config: RunConfig) -> int:
     corpus = _corpus(args, config.step_fraction)
     params, history = runner.train(corpus.train, init_params(config.network),
                                    config.optimizer_config(), config.train, log=print)
@@ -50,8 +49,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
-    config = load_run_config(args.config, args.settings)
+def cmd_generate(args, config: RunConfig) -> int:
     params = model_io.load_model(args.model)
     seed_roll, spec = load_roll(args.seed_midi, config.step_fraction)
     seed = seed_roll.frames[: config.generation.seed_frames]
@@ -63,12 +61,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = load_run_config(args.config, args.settings)
+def cmd_evaluate(args, config: RunConfig) -> int:
     params = model_io.load_model(args.model)
     corpus = _corpus(args, config.step_fraction)
-    if not corpus.test:
-        raise Error("test split is empty")
     report = metrics.evaluate(params, corpus.test, config.generation.threshold)
     # .chlf does not record the optimizer, so the row names the model file.
     model = os.path.splitext(os.path.basename(args.model))[0]
@@ -76,8 +71,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_reconstruct(args) -> int:
-    config = load_run_config(args.config, args.settings)
+def cmd_reconstruct(args, config: RunConfig) -> int:
     params = model_io.load_model(args.model)
     original, spec = load_roll(args.midi, config.step_fraction)
     rendition, accuracy = runner.reconstruct(params, original, config.generation)
@@ -90,8 +84,8 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    seed = load_run_config(args.config, args.settings).network.rng_seed
+def cmd_gradcheck(args, config: RunConfig) -> int:
+    seed = config.network.rng_seed
     net = NetworkConfig(num_inputs=3, num_blocks=3, num_outputs=3,
                         rng_seed=seed, init_scale=0.5)
     params = init_params(net)
@@ -161,7 +155,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        return args.func(args, load_run_config(args.config, args.settings))
     except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), 1)

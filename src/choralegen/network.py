@@ -72,12 +72,13 @@ class NetworkParams:
             raise ShapeMismatch("flat vector length does not match parameter count")
         self.vector = vector
         self.num_inputs, self.num_blocks, self.num_outputs = ni, nb, no
-        w_x, w_h, self.b, w_out, self.b_out = np.split(vector, np.cumsum(sizes)[:-1])
+        w_x, w_h, self.b, w_out, self.b_out = (
+            vector[i - n : i] for n, i in zip(sizes, np.cumsum(sizes).tolist()))
         self.w_x, self.w_h = w_x.reshape(4 * nb, ni), w_h.reshape(4 * nb, nb)
         self.w_out = w_out.reshape(no, nb)
-        self.wx_i, self.wx_f, self.wx_o, self.wx_c = np.split(self.w_x, 4)
-        self.wh_i, self.wh_f, self.wh_o, self.wh_c = np.split(self.w_h, 4)
-        self.b_i, self.b_f, self.b_o, self.b_c = np.split(self.b, 4)
+        self.wx_i, self.wx_f, self.wx_o, self.wx_c = w_x.reshape(4, nb, ni)
+        self.wh_i, self.wh_f, self.wh_o, self.wh_c = w_h.reshape(4, nb, nb)
+        self.b_i, self.b_f, self.b_o, self.b_c = self.b.reshape(4, nb)
 
     def arrays(self) -> list[np.ndarray]:
         """The 14 named views in PARAM_FIELDS (.chlf) order."""

@@ -72,8 +72,8 @@ def rprop_step(params: NetworkParams, grads: NetworkParams, state: RPropState,
     w = params.vector.copy()
     if config.variant == "with_backtracking":
         flipped = agree < 0
-        w[flipped] -= state.prev_weight_delta[flipped]
-        sign[flipped] = 0.0  # skip the next adaptation
+        np.subtract(w, state.prev_weight_delta, out=w, where=flipped)
+        np.copyto(sign, 0.0, where=flipped)  # skip the next adaptation
     dw = -delta * sign
     w += dw
     return params.with_flat(w), RPropState(delta, sign, dw)

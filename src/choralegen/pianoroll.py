@@ -67,15 +67,19 @@ class PianoRoll:
         return self.frames.shape[0]
 
 
+def frame_pairs(roll: PianoRoll) -> int:
+    """The roll's number of next-frame (input, target) pairs, len - 1. A
+    roll of fewer than 2 frames has no pair and raises TooShort."""
+    if len(roll) < 2:
+        raise TooShort(f"{roll.source_id or 'roll'}: need >= 2 frames, got {len(roll)}")
+    return len(roll) - 1
+
+
 def frame_stack(rolls: list[PianoRoll]) -> tuple[np.ndarray, list[int]]:
     """The rolls as one zero-padded (T_max + 1, N, 88) array, roll n in
-    column n, and each roll's number of next-frame pairs T_n = len - 1.
-    `stack[:-1]` are the inputs and `stack[1:]` the targets. A roll of
-    fewer than 2 frames has no pair and raises TooShort."""
-    for roll in rolls:
-        if len(roll) < 2:
-            raise TooShort(f"{roll.source_id or 'roll'}: need >= 2 frames, got {len(roll)}")
-    lengths = [len(roll) - 1 for roll in rolls]
+    column n, and each roll's `frame_pairs` T_n. `stack[:-1]` are the
+    inputs and `stack[1:]` the targets."""
+    lengths = [frame_pairs(roll) for roll in rolls]
     stack = np.zeros((max(lengths) + 1, len(rolls), NUM_PITCHES))
     for n, roll in enumerate(rolls):
         stack[: len(roll), n] = roll.frames
@@ -150,7 +154,6 @@ def load_roll(path: str, step_fraction: float) -> tuple[PianoRoll, QuantizationS
 @dataclass
 class Corpus:
     train: list[PianoRoll] = field(default_factory=list)
-    valid: list[PianoRoll] = field(default_factory=list)
     test: list[PianoRoll] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -165,8 +168,7 @@ def _load_split(split_dir: str, step_fraction: float, warnings: list[str]) -> li
         path = os.path.join(split_dir, name)
         try:
             roll = load_roll(path, step_fraction)[0]
-            if len(roll) < 2:
-                raise TooShort(f"need >= 2 frames, got {len(roll)}")
+            frame_pairs(roll)  # TooShort below 2 frames
             rolls.append(roll)
         except (Error, OSError) as exc:
             warnings.append(f"{path}: {exc}")
@@ -174,14 +176,15 @@ def _load_split(split_dir: str, step_fraction: float, warnings: list[str]) -> li
 
 
 def load_corpus(directory: str, step_fraction: float = DEFAULT_STEP_FRACTION) -> Corpus:
-    """Read train/, valid/, test/ subdirectories of quantized MIDI files.
+    """Read the train/ and test/ subdirectories of quantized MIDI files;
+    any other subdirectory, such as valid/, is not read.
 
     Files are loaded in lexicographic order; files that cannot be read,
     or give a roll of fewer than 2 frames, are recorded in .warnings and
     skipped.
     """
     corpus = Corpus()
-    for split in ("train", "valid", "test"):
+    for split in ("train", "test"):
         rolls = _load_split(os.path.join(directory, split), step_fraction, corpus.warnings)
         setattr(corpus, split, rolls)
     if not corpus.train:

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bptt import backward
-from .errors import (EmptyCorpus, NonFiniteActivation, NonFiniteGradient,
-                     NonFiniteLoss, TooShort)
+from .errors import EmptyCorpus, NonFiniteActivation, NonFiniteGradient, NonFiniteLoss
 from .metrics import frame_accuracy
 from .network import (NetworkParams, _lstm_cell, _sigmoid_inplace,
                       forward_sequence)
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
-from .pianoroll import MAX_STEPS, PianoRoll, frame_stack
+from .pianoroll import MAX_STEPS, PianoRoll, frame_pairs, frame_stack
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,12 @@ class GenerationConfig:
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
         if self.fallback not in ("silence", "top_k"):
             raise ValueError(f"unknown fallback {self.fallback!r}")
-        if not 0 <= self.num_steps <= MAX_STEPS:
-            raise ValueError(f"num_steps must be in [0, MAX_STEPS = {MAX_STEPS}]")
         if min(self.seed_frames, self.top_k) < 1:
             raise ValueError("seed_frames and top_k must be >= 1")
+        # The written roll holds the seed too; `quantize` reads back <= MAX_STEPS rows.
+        if not 0 <= self.num_steps <= MAX_STEPS - self.seed_frames:
+            raise ValueError(f"num_steps must be in [0, MAX_STEPS - seed_frames = "
+                             f"{MAX_STEPS - self.seed_frames}]")
 
 
 def train(rolls: list[PianoRoll], params: NetworkParams,
@@ -182,8 +183,7 @@ def reconstruct(params: NetworkParams, original: PianoRoll,
                 config: GenerationConfig) -> tuple[PianoRoll, float]:
     """Seed with the opening frames, free-run to the original's length,
     and score the result with frame-level accuracy."""
-    if len(original) < 2:
-        raise TooShort(f"{original.source_id or 'roll'}: need >= 2 frames, got {len(original)}")
+    frame_pairs(original)  # TooShort below 2 frames
     seed = original.frames[: config.seed_frames]
     rendition = generate(params, seed, replace(config, num_steps=len(original) - len(seed)))
     accuracy = frame_accuracy([(rendition.frames, original.frames)])

@@ -91,21 +91,12 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
     opens = defaultdict(deque)  # pitch -> onset ticks of its sounding notes
     tick = status = 0  # status 0: no running status
     while pos < end:
-        # Delta time, a VLQ of 1..4 bytes, read here: it precedes every event.
+        # Delta time: most are one byte, read inline; longer ones go to _read_vlq.
         delta = data[pos]
-        pos += 1
         if delta & 0x80:
-            delta &= 0x7F
-            for _ in range(3):
-                if pos >= end:
-                    raise MalformedMidi("truncated variable-length quantity")
-                byte = data[pos]
-                pos += 1
-                delta = (delta << 7) | (byte & 0x7F)
-                if not byte & 0x80:
-                    break
-            else:
-                raise MalformedMidi("variable-length quantity longer than 4 bytes")
+            delta, pos = _read_vlq(data, pos, end)
+        else:
+            pos += 1
         tick += delta
         if pos >= end:
             raise MalformedMidi("truncated event")

@@ -239,6 +239,15 @@ def test_evaluate_skips_one_frame_midi(workspace, capsys):
     assert "warning: skipped" in err and "b.mid" in err and ">= 2 frames" in err
 
 
+def test_evaluate_empty_test_split_exit_1(workspace, capsys):
+    os.remove(workspace / "corpus" / "test" / "piece.mid")
+    assert main(["evaluate", "--model", untrained_model(workspace),
+                 "--corpus", str(workspace / "corpus")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "empty test split" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_generate_unwritable_delta_exit_1(workspace, capsys):
     # PPQ 480 at a million quarter notes per step: 4.8e8 ticks per step, so
     # every gap needs a 5-byte delta time, more than SMF allows.
@@ -368,7 +377,7 @@ def test_bad_steps_exit_1(workspace, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("steps", ["65537", "100000000000"])
+@pytest.mark.parametrize("steps", ["65536", "65537", "100000000000"])
 def test_too_many_steps_exit_1(workspace, capsys, steps):
     # Checked at load: the roll is never allocated.
     assert main(["generate", "--model", untrained_model(workspace),

@@ -321,9 +321,11 @@ def test_load_corpus(tmp_path):
     _write_roll(tmp_path / "train" / "a.mid", frames)
     _write_roll(tmp_path / "test" / "c.mid", frames)
     (tmp_path / "train" / "bad.mid").write_bytes(b"not midi at all")
+    os.makedirs(tmp_path / "valid")  # not read: neither a roll nor a warning
+    (tmp_path / "valid" / "v.mid").write_bytes(b"not midi at all")
     corpus = load_corpus(str(tmp_path))
     assert [r.source_id for r in corpus.train] == ["a.mid", "b.mid"]
-    assert len(corpus.test) == 1 and not corpus.valid
+    assert [r.source_id for r in corpus.test] == ["c.mid"]
     assert len(corpus.warnings) == 1
 
 

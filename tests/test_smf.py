@@ -230,9 +230,14 @@ def test_truncated_chunk_raises():
         parse_midi(C4_QUARTER[:-4])
 
 
-def test_bad_vlq_raises():
-    body = bytes([0xFF, 0xFF, 0xFF, 0xFF, 0xFF])  # 5-byte VLQ
-    with pytest.raises(MalformedMidi):
+@pytest.mark.parametrize("body, message", [
+    pytest.param(bytes([0xFF, 0xFF, 0xFF, 0xFF, 0xFF]), "longer than 4 bytes", id="5-byte-delta"),
+    pytest.param(bytes([0x81]), "truncated variable-length quantity", id="truncated-delta"),
+    pytest.param(bytes([0x00, 0xFF, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]),
+                 "longer than 4 bytes", id="5-byte-meta-length"),
+])
+def test_bad_vlq_raises(body, message):
+    with pytest.raises(MalformedMidi, match=message):
         parse_midi(header() + track(body))
 
 
