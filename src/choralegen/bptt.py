@@ -79,7 +79,7 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     np.multiply(g, i, out=dz_i)
     np.subtract(1.0, i, out=dz_c)
     dz_i *= dz_c
-    np.multiply(trace.init_state.cell_states, f[0], out=dz_f[0])
+    dz_f[0] = 0.0  # c_{-1} = 0
     np.multiply(cells[:-1], f[1:], out=dz_f[1:])
     np.subtract(1.0, f, out=dz_c)
     dz_f *= dz_c
@@ -103,8 +103,7 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
             dh_carry[...] = dc_carry[...] = 0.0
     del d_out, dc_dh
 
-    h_prev = np.concatenate([np.broadcast_to(trace.init_state.block_outputs, (n, nb)),
-                             rows(outputs)[:-n]])
+    h_prev = np.concatenate([np.zeros((n, nb)), rows(outputs)[:-n]])  # h_{-1} = 0
     _blocked_product(rows(dz), rows(x), grads.w_x)
     _blocked_product(rows(dz), h_prev, grads.w_h)
     np.sum(rows(dz), axis=0, out=grads.b)

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 input, config and usage errors, 2 non-finite
-loss, 3 model checksum failure, 4 gradient-check failure. The whole run
-config, file and flags, is checked before any other input is read.
+loss, 3 corrupt model file or one whose layers are not 88 pitches wide,
+4 gradient-check failure. The whole run config, file and flags, is
+checked before any other input is read.
 """
 
 from __future__ import annotations
@@ -17,27 +18,40 @@ from . import bptt, metrics, model_io, runner
 from .config import KEYS, RunConfig, load_run_config
 from .errors import ChecksumMismatch, Error, NonFiniteLoss, VersionMismatch
 from .network import PARAM_FIELDS, NetworkConfig, forward_sequence, init_params
-from .pianoroll import Corpus, load_corpus, load_roll, render_midi
+from .pianoroll import NUM_PITCHES, PianoRoll, load_roll, load_split, render_midi
 
 CORPUS_ENV = "CHORALEGEN_CORPUS"
 EXIT_CODES = {NonFiniteLoss: 2, ChecksumMismatch: 3, VersionMismatch: 3}  # other errors: 1
 
 
-def _corpus(args, step_fraction: float) -> Corpus:
-    """The corpus at --corpus or $CHORALEGEN_CORPUS; one warning line per
-    skipped file."""
+def _split(args, split: str, step_fraction: float) -> list[PianoRoll]:
+    """The rolls of one split of the corpus at --corpus or
+    $CHORALEGEN_CORPUS, the only one read; one warning line per skipped
+    file."""
     directory = args.corpus or os.environ.get(CORPUS_ENV)
     if not directory:
         raise Error(f"no corpus directory given (flag --corpus or ${CORPUS_ENV})")
-    corpus = load_corpus(directory, step_fraction)
-    for warning in corpus.warnings:
+    if not os.path.isdir(directory):
+        raise Error(f"corpus directory {directory} not found")
+    rolls, warnings = load_split(directory, split, step_fraction)
+    for warning in warnings:
         print(f"warning: skipped {warning}", file=sys.stderr)
-    return corpus
+    return rolls
+
+
+def _roll_model(path: str):
+    """The model at `path`, if it reads and predicts 88-pitch frames."""
+    params = model_io.load_model(path)
+    if params.num_inputs != NUM_PITCHES or params.num_outputs != NUM_PITCHES:
+        raise VersionMismatch(f"{path}: layer sizes {params.num_inputs}-{params.num_blocks}-"
+                              f"{params.num_outputs}, but piano-roll commands need "
+                              f"{NUM_PITCHES} inputs and {NUM_PITCHES} outputs")
+    return params
 
 
 def cmd_train(args, config: RunConfig) -> int:
-    corpus = _corpus(args, config.step_fraction)
-    params, history = runner.train(corpus.train, init_params(config.network),
+    rolls = _split(args, "train", config.step_fraction)
+    params, history = runner.train(rolls, init_params(config.network),
                                    config.optimizer_config(), config.train, log=print)
     model_io.save_model(args.out, params)
     history_path = args.history or args.out + ".history.tsv"
@@ -50,7 +64,7 @@ def cmd_train(args, config: RunConfig) -> int:
 
 
 def cmd_generate(args, config: RunConfig) -> int:
-    params = model_io.load_model(args.model)
+    params = _roll_model(args.model)
     seed_roll, spec = load_roll(args.seed_midi, config.step_fraction)
     seed = seed_roll.frames[: config.generation.seed_frames]
     roll = runner.generate(params, seed, config.generation)
@@ -62,9 +76,9 @@ def cmd_generate(args, config: RunConfig) -> int:
 
 
 def cmd_evaluate(args, config: RunConfig) -> int:
-    params = model_io.load_model(args.model)
-    corpus = _corpus(args, config.step_fraction)
-    report = metrics.evaluate(params, corpus.test, config.generation.threshold)
+    params = _roll_model(args.model)
+    rolls = _split(args, "test", config.step_fraction)
+    report = metrics.evaluate(params, rolls, config.generation.threshold)
     # .chlf does not record the optimizer, so the row names the model file.
     model = os.path.splitext(os.path.basename(args.model))[0]
     print(metrics.format_report(report, model=model))
@@ -72,7 +86,7 @@ def cmd_evaluate(args, config: RunConfig) -> int:
 
 
 def cmd_reconstruct(args, config: RunConfig) -> int:
-    params = model_io.load_model(args.model)
+    params = _roll_model(args.model)
     original, spec = load_roll(args.midi, config.step_fraction)
     rendition, accuracy = runner.reconstruct(params, original, config.generation)
     print(f"frame accuracy: {accuracy:.4f}")

@@ -61,7 +61,8 @@ class ShapeMismatch(Error):
 
 
 class VersionMismatch(Error):
-    """Model file has a wrong magic or an unsupported version."""
+    """Model file has a wrong magic or an unsupported version, or the
+    command needs other layer sizes than the file holds."""
 
 
 class ChecksumMismatch(Error):

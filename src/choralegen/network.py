@@ -154,16 +154,6 @@ def _lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarra
 
 
 @dataclass
-class StepState:
-    cell_states: np.ndarray
-    block_outputs: np.ndarray
-
-    @classmethod
-    def zeros(cls, num_blocks: int) -> "StepState":
-        return cls(np.zeros(num_blocks), np.zeros(num_blocks))
-
-
-@dataclass
 class ForwardTrace:
     """Per-timestep activations, everything exact BPTT needs. For a
     (T, N, I) stack every array has the (T, N) leading axes."""
@@ -173,18 +163,13 @@ class ForwardTrace:
     cell_states: np.ndarray  # (T, B)
     block_outputs: np.ndarray
     y: np.ndarray            # (T, num_outputs) predictions in (0, 1)
-    init_state: StepState
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def final_state(self) -> StepState:
-        return StepState(self.cell_states[-1], self.block_outputs[-1])
 
-
-def forward_sequence(params: NetworkParams, inputs: np.ndarray,
-                     init_state: StepState | None = None) -> ForwardTrace:
-    """Run the whole sequence from a zero state (or a given one).
+def forward_sequence(params: NetworkParams, inputs: np.ndarray) -> ForwardTrace:
+    """Run the whole sequence from the zero state (c and h all zero).
 
     `inputs` is one sequence (T, I) or N sequences stacked step by step
     (T, N, I); every array of the trace then has the same leading axes.
@@ -195,12 +180,11 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray,
     if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
         raise ValueError("inputs must be a non-empty (T, num_inputs) or "
                          "(T, N, num_inputs) array")
-    init = init_state if init_state is not None else StepState.zeros(params.num_blocks)
     nb = params.num_blocks
     lead = inputs.shape[:-1]
     cells = np.empty(lead + (nb,))
     outputs = np.empty(lead + (nb,))
-    c, h = init.cell_states, init.block_outputs
+    c = h = np.zeros(nb)
     # NaN is reported below, by timestep.
     with np.errstate(over="ignore", invalid="ignore"):
         gates = inputs.reshape(-1, inputs.shape[-1]) @ params.w_x.T
@@ -219,15 +203,13 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray,
               & np.isfinite(y.reshape(steps, -1)).all(axis=1))
     if not finite.all():
         raise NonFiniteActivation(int(np.argmin(finite)))
-    return ForwardTrace(inputs, gates, cells, outputs, y, init)
+    return ForwardTrace(inputs, gates, cells, outputs, y)
 
 
 # Kept only because perfbench/tracing.WORK traces it by name (ROADMAP item 1).
-def forward_step(params: NetworkParams, x: np.ndarray,
-                 prev: StepState) -> tuple[np.ndarray, StepState]:
-    """One timestep: the prediction and the state after it."""
-    trace = forward_sequence(params, np.asarray(x)[None], prev)
-    return trace.y[0], trace.final_state()
+def forward_step(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """The prediction for one input from the zero state."""
+    return forward_sequence(params, np.asarray(x)[None]).y[0]
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:

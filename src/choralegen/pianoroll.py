@@ -158,10 +158,16 @@ class Corpus:
     warnings: list[str] = field(default_factory=list)
 
 
-def _load_split(split_dir: str, step_fraction: float, warnings: list[str]) -> list[PianoRoll]:
-    rolls = []
+def load_split(directory: str, split: str, step_fraction: float = DEFAULT_STEP_FRACTION
+               ) -> tuple[list[PianoRoll], list[str]]:
+    """The rolls of the quantized MIDI files in `directory`/`split`, in
+    lexicographic order, and one warning per file skipped because it
+    cannot be read or gives a roll of fewer than 2 frames. A missing
+    subdirectory gives no rolls."""
+    split_dir = os.path.join(directory, split)
+    rolls, warnings = [], []
     if not os.path.isdir(split_dir):
-        return rolls
+        return rolls, warnings
     for name in sorted(os.listdir(split_dir)):
         if not name.lower().endswith((".mid", ".midi")):
             continue
@@ -172,21 +178,18 @@ def _load_split(split_dir: str, step_fraction: float, warnings: list[str]) -> li
             rolls.append(roll)
         except (Error, OSError) as exc:
             warnings.append(f"{path}: {exc}")
-    return rolls
+    return rolls, warnings
 
 
 def load_corpus(directory: str, step_fraction: float = DEFAULT_STEP_FRACTION) -> Corpus:
-    """Read the train/ and test/ subdirectories of quantized MIDI files;
-    any other subdirectory, such as valid/, is not read.
-
-    Files are loaded in lexicographic order; files that cannot be read,
-    or give a roll of fewer than 2 frames, are recorded in .warnings and
-    skipped.
-    """
+    """Read the train/ and test/ subdirectories with `load_split`; any
+    other subdirectory, such as valid/, is not read. Raises EmptyCorpus
+    when train/ gives no roll."""
     corpus = Corpus()
     for split in ("train", "test"):
-        rolls = _load_split(os.path.join(directory, split), step_fraction, corpus.warnings)
+        rolls, warnings = load_split(directory, split, step_fraction)
         setattr(corpus, split, rolls)
+        corpus.warnings += warnings
     if not corpus.train:
         raise EmptyCorpus(f"no parseable MIDI files under {directory}/train")
     return corpus

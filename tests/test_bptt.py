@@ -112,9 +112,11 @@ def test_finite_diff_rejects_bad_h():
         finite_diff_gradient(params, inputs, targets, h=0.0)
 
 
-def per_step_reference(params, inputs, targets):
+def per_step_reference(params, inputs, targets, window=None):
     """Forward and backward one timestep and one gate at a time, with a
-    separate outer product per weight matrix: (predictions, gradients)."""
+    separate outer product per weight matrix: (predictions, gradients).
+    With a `window`, no error is carried back across the start of a chunk
+    of `window` steps (truncated BPTT); the forward runs unbroken."""
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))
     gates = "ifoc"
     nb = params.num_blocks
@@ -148,6 +150,8 @@ def per_step_reference(params, inputs, targets):
             getattr(grads, "b_" + g)[...] += dz[g]
             dh_next += getattr(params, "wh_" + g).T @ dz[g]
         dc_next = dc * a["f"]
+        if window and t % window == 0:
+            dh_next, dc_next = np.zeros(nb), np.zeros(nb)
     return np.array([s[-1] for s in steps]), grads
 
 
@@ -219,25 +223,12 @@ def test_trailing_padding_adds_nothing():
     assert max_norm_close(padded_grad, grad, 1e-12)
 
 
-def chunked_reference(params, inputs, targets, window):
-    """Truncated BPTT one piece at a time: forward each chunk of `window`
-    steps from the previous chunk's final state, backpropagate it alone,
-    and weight it by its share of the piece's entries."""
-    grads, state = np.zeros(params.size()), None
-    for start in range(0, len(inputs), window):
-        chunk_in, chunk_tg = inputs[start : start + window], targets[start : start + window]
-        trace = forward_sequence(params, chunk_in, init_state=state)
-        state = trace.final_state()
-        grads += backward(params, trace, chunk_tg, chunk_tg.size / targets.size).vector
-    return grads
-
-
 def test_truncated_batch_matches_per_piece_chunks():
     lengths = (9, 6, 11)
     params, pieces, inputs, targets = ragged_batch(8, lengths, ni=3, nb=4, no=3)
     batched = backward(params, forward_sequence(params, inputs), targets,
                        lengths=lengths, window=4)
-    expected = sum(chunked_reference(params, x, y, 4) for x, y in pieces)
+    expected = sum(per_step_reference(params, x, y, window=4)[1].vector for x, y in pieces)
     assert max_norm_close(batched.vector, expected, 1e-12)
     full = backward(params, forward_sequence(params, inputs), targets, lengths=lengths)
     assert not max_norm_close(full.vector, expected, 1e-6)

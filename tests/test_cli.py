@@ -289,9 +289,48 @@ def test_tampered_model_exit_3(workspace, capsys):
                  "--corpus", str(workspace / "corpus")]) == 3
 
 
+COMMAND_ARGS = {
+    "generate": lambda ws: ["--seed-midi", str(ws / "corpus" / "train" / "piece.mid"),
+                            "--steps", "4", "--out", str(ws / "out.mid")],
+    "reconstruct": lambda ws: ["--midi", str(ws / "corpus" / "train" / "piece.mid"),
+                               "--out", str(ws / "out.mid")],
+    "evaluate": lambda ws: ["--corpus", str(ws / "corpus")],
+}
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 3), (88, 3, 5)], ids=["3-3-3", "88-3-5"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_model_of_other_layer_sizes_exit_3(workspace, capsys, command, sizes):
+    # A valid .chlf that does not read and predict 88-pitch frames.
+    path = workspace / "other.chlf"
+    ni, nb, no = sizes
+    save_model(str(path), init_params(NetworkConfig(num_inputs=ni, num_blocks=nb,
+                                                    num_outputs=no)))
+    assert main([command, "--model", str(path), *COMMAND_ARGS[command](workspace)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"layer sizes {ni}-{nb}-{no}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (workspace / "out.mid").exists()
+
+
+def test_evaluate_reads_only_test(workspace, capsys):
+    shutil.rmtree(workspace / "corpus" / "train")
+    assert main(["evaluate", "--model", untrained_model(workspace),
+                 "--corpus", str(workspace / "corpus")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_train_reads_only_train(workspace, capsys):
+    (workspace / "corpus" / "test" / "bad.mid").write_bytes(b"garbage")
+    assert main(train_args(workspace)) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_missing_corpus_exit_1(tmp_path, capsys):
     assert main(["train", "--corpus", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "m.chlf")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: corpus directory") and "nope" in err and "not found" in err
 
 
 def test_bad_config_exit_1(workspace, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from choralegen.errors import LengthMismatch, NonFiniteActivation
-from choralegen.network import (MAX_PARAMS, NetworkConfig, StepState,
+from choralegen.network import (MAX_PARAMS, NetworkConfig, _lstm_cell,
                                 forward_sequence, forward_step, init_params,
                                 mse_loss, param_count)
 
@@ -59,7 +59,7 @@ def test_init_scale_zero():
 
 def test_zero_params_predict_half():
     params = init_params(small_config(init_scale=0.0))
-    y, _ = forward_step(params, np.ones(3), StepState.zeros(4))
+    y = forward_step(params, np.ones(3))
     assert np.all(y == 0.5)
 
 
@@ -68,11 +68,14 @@ def test_cell_decay_closed_form():
     # by sigmoid(1) each step: c_t = sigmoid(1)^t * c_0.
     params = init_params(small_config(init_scale=0.0))
     c0 = np.array([0.8, -0.3, 0.5, 1.2])
-    state = StepState(c0.copy(), np.zeros(4))
+    c, h = c0.copy(), np.zeros(4)
     decay = 1.0 / (1.0 + np.exp(-1.0))
     for t in range(1, 4):
-        _, state = forward_step(params, np.zeros(3), state)
-        assert np.allclose(state.cell_states, decay ** t * c0, rtol=1e-12)
+        z = params.w_x @ np.zeros(3) + params.w_h @ h + params.b
+        c_next = np.empty(4)
+        _lstm_cell(z, c, c_next, h)
+        c = c_next
+        assert np.allclose(c, decay ** t * c0, rtol=1e-12)
 
 
 def test_gate_ranges():
