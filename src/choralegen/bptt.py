@@ -64,8 +64,9 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     del dz_y
 
     # d(gate pre-activation) per unit of dc (i, f, c) or of dh (o); each
-    # step below scales its row into that step's gate deltas. Built in
-    # place, dz_c serving as the temporary, to bound the memory of a corpus.
+    # step below scales its row into that step's gate deltas. Sigmoid gate
+    # s: (g for i, c_{t-1} for f, tanh c for o) * s * (1 - s). Built in
+    # place, dz_c holding each 1 - s, to bound the memory of a corpus.
     i, f, o, g = (gates[..., k * nb : (k + 1) * nb] for k in range(4))
     dz = np.empty_like(gates)
     dz_i, dz_f, dz_o, dz_c = (dz[..., k * nb : (k + 1) * nb] for k in range(4))
@@ -73,16 +74,13 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     dc_dh = tc * tc
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
-    dz_o *= o
-    np.subtract(1.0, o, out=dz_c)
-    dz_o *= dz_c
-    np.multiply(g, i, out=dz_i)
-    np.subtract(1.0, i, out=dz_c)
-    dz_i *= dz_c
+    dz_i[...] = g
     dz_f[0] = 0.0  # c_{-1} = 0
-    np.multiply(cells[:-1], f[1:], out=dz_f[1:])
-    np.subtract(1.0, f, out=dz_c)
-    dz_f *= dz_c
+    dz_f[1:] = cells[:-1]
+    dz[..., : 3 * nb] *= gates[..., : 3 * nb]
+    for sig, dz_sig in ((i, dz_i), (f, dz_f), (o, dz_o)):
+        np.subtract(1.0, sig, out=dz_c)
+        dz_sig *= dz_c
     np.multiply(g, g, out=dz_c)
     np.subtract(1.0, dz_c, out=dz_c)
     dz_c *= i
@@ -153,7 +151,6 @@ def finite_diff_gradient(params: NetworkParams, inputs: np.ndarray,
 
 def max_relative_error(analytic: NetworkParams, numeric: NetworkParams) -> float:
     """Max-norm relative disagreement: ||a - n||_inf / max(||a||_inf, ||n||_inf)."""
-    a = analytic.flatten()
-    n = numeric.flatten()
+    a, n = analytic.vector, numeric.vector
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(n))), 1e-12)
     return float(np.max(np.abs(a - n))) / scale

@@ -13,37 +13,11 @@ from .pianoroll import PianoRoll, frame_stack
 
 
 @dataclass
-class FrameCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-
-    def __add__(self, other: "FrameCounts") -> "FrameCounts":
-        return FrameCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
-    def prf(self) -> tuple[float, float, float]:
-        """Precision, recall and F1 of these counts (see `piece_prf`)."""
-        precision = self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
-        recall = self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
-        if not precision + recall:
-            return precision, recall, 0.0
-        # Rounding can put 2PR/(P+R) one ulp outside [min(P, R), max(P, R)].
-        f1 = 2 * precision * recall / (precision + recall)
-        return precision, recall, min(max(f1, min(precision, recall)), max(precision, recall))
-
-    def accuracy(self) -> float:
-        """TP / (TP + FP + FN); empty tallies count as perfect."""
-        denom = self.tp + self.fp + self.fn
-        return self.tp / denom if denom else 1.0
-
-
-@dataclass
 class PieceScore:
     source_id: str
     precision: float
     recall: float
     f1: float
-    counts: FrameCounts
 
 
 @dataclass
@@ -53,16 +27,31 @@ class EvalReport:
     frame_accuracy: float = 0.0
 
 
-def _count(predicted: np.ndarray, target: np.ndarray) -> FrameCounts:
+def _count(predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The int64 triple [TP, FP, FN] over all (step, pitch) cells."""
     if predicted.shape != target.shape:
         raise ShapeMismatch(f"{predicted.shape} vs {target.shape}")
     pred_on = predicted > 0.5
     targ_on = target > 0.5
-    return FrameCounts(
-        tp=int(np.sum(pred_on & targ_on)),
-        fp=int(np.sum(pred_on & ~targ_on)),
-        fn=int(np.sum(~pred_on & targ_on)),
-    )
+    return np.array([np.sum(pred_on & targ_on), np.sum(pred_on & ~targ_on),
+                     np.sum(~pred_on & targ_on)], dtype=np.int64)
+
+
+def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of these counts (see `piece_prf`)."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if not precision + recall:
+        return precision, recall, 0.0
+    # Rounding can put 2PR/(P+R) one ulp outside [min(P, R), max(P, R)].
+    f1 = 2 * precision * recall / (precision + recall)
+    return precision, recall, min(max(f1, min(precision, recall)), max(precision, recall))
+
+
+def _accuracy(tp: int, fp: int, fn: int) -> float:
+    """TP / (TP + FP + FN); empty tallies count as perfect."""
+    denom = tp + fp + fn
+    return tp / denom if denom else 1.0
 
 
 def piece_prf(predicted: np.ndarray, target: np.ndarray) -> tuple[float, float, float]:
@@ -71,13 +60,13 @@ def piece_prf(predicted: np.ndarray, target: np.ndarray) -> tuple[float, float, 
     Conventions: empty prediction set gives P = 0; empty target set gives
     R = 0; P + R = 0 gives F1 = 0.
     """
-    return _count(np.asarray(predicted), np.asarray(target)).prf()
+    return _prf(*_count(np.asarray(predicted), np.asarray(target)).tolist())
 
 
 def frame_accuracy(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
     """Acc over every frame of every piece; empty tallies count as perfect."""
-    return sum((_count(np.asarray(p), np.asarray(t)) for p, t in pairs),
-               FrameCounts()).accuracy()
+    return _accuracy(*sum((_count(np.asarray(p), np.asarray(t)) for p, t in pairs),
+                          np.zeros(3, dtype=np.int64)).tolist())
 
 
 def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
@@ -94,10 +83,10 @@ def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
     y = forward_sequence(params, stack[:-1]).y
     counts = [_count(y[:m, n] > threshold, stack[1 : m + 1, n])
               for n, m in enumerate(lengths)]
-    report = EvalReport([PieceScore(roll.source_id, *c.prf(), c)
+    report = EvalReport([PieceScore(roll.source_id, *_prf(*c.tolist()))
                          for roll, c in zip(test_rolls, counts)])
     report.macro_f1 = float(np.mean([s.f1 for s in report.pieces]))
-    report.frame_accuracy = sum(counts, FrameCounts()).accuracy()
+    report.frame_accuracy = _accuracy(*np.sum(counts, axis=0).tolist())
     return report
 
 

@@ -87,9 +87,6 @@ class NetworkParams:
     def size(self) -> int:
         return self.vector.size
 
-    def copy(self) -> "NetworkParams":
-        return self.with_flat(self.vector.copy())
-
     def zeros_like(self) -> "NetworkParams":
         return self.with_flat(np.zeros_like(self.vector))
 

@@ -195,17 +195,8 @@ def load_corpus(directory: str, step_fraction: float = DEFAULT_STEP_FRACTION) ->
     return corpus
 
 
-# -- plain-text fixture format ------------------------------------------------
-
-def format_pianoroll_text(roll: PianoRoll) -> str:
-    """Bit-exact text form: header line, then T rows of 88 {0,1} chars."""
-    lines = [f"PIANOROLL v1 T={len(roll)} P={NUM_PITCHES}"]
-    for row in roll.frames:
-        lines.append("".join("1" if v else "0" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def parse_pianoroll_text(text: str, source_id: str = "") -> PianoRoll:
+    """Text fixture form: a `PIANOROLL v1 T=<T> P=88` line, then T rows of 88 {0,1} chars."""
     lines = text.strip().splitlines()
     if not lines or not lines[0].startswith("PIANOROLL v1 "):
         raise ValueError("bad piano-roll header")

@@ -65,12 +65,12 @@ class GenerationConfig:
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
         if self.fallback not in ("silence", "top_k"):
             raise ValueError(f"unknown fallback {self.fallback!r}")
-        if min(self.seed_frames, self.top_k) < 1:
-            raise ValueError("seed_frames and top_k must be >= 1")
+        if min(self.seed_frames, self.top_k) < 1 or self.num_steps < 0:
+            raise ValueError("seed_frames and top_k must be >= 1, num_steps >= 0")
         # The written roll holds the seed too; `quantize` reads back <= MAX_STEPS rows.
-        if not 0 <= self.num_steps <= MAX_STEPS - self.seed_frames:
-            raise ValueError(f"num_steps must be in [0, MAX_STEPS - seed_frames = "
-                             f"{MAX_STEPS - self.seed_frames}]")
+        if self.seed_frames + self.num_steps > MAX_STEPS:
+            raise ValueError(f"seed_frames ({self.seed_frames}) + num_steps ({self.num_steps}) "
+                             f"must be <= MAX_STEPS = {MAX_STEPS}")
 
 
 def train(rolls: list[PianoRoll], params: NetworkParams,

@@ -98,9 +98,8 @@ def test_criterion_4_rprop_beats_gd():
     init = init_params(NetworkConfig(num_blocks=32, rng_seed=0))
     budget = TrainConfig(max_epochs=300, target_mse=1e-9)
     gd_budget = TrainConfig(max_epochs=300, target_mse=1e-9)
-    rprop_params, rprop_hist = train(train_rolls, init.copy(),
-                                     RPropConfig(delta_max=0.1), budget)
-    gd_params, gd_hist = train(train_rolls, init.copy(), GDConfig(), gd_budget)
+    rprop_params, rprop_hist = train(train_rolls, init, RPropConfig(delta_max=0.1), budget)
+    gd_params, gd_hist = train(train_rolls, init, GDConfig(), gd_budget)
 
     rprop_report = evaluate(rprop_params, test_rolls)
     gd_report = evaluate(gd_params, test_rolls)

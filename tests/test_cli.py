@@ -370,7 +370,8 @@ COMMANDS = ["train", "generate", "evaluate", "reconstruct", "gradcheck"]
                                   "init_scale = inf", "delta_max = 0.05",
                                   "optimizer = adam", "rprop_variant = x",
                                   "truncation_window = -3", "learning_rate = nan",
-                                  "delta_max = inf", "eta_plus = inf"])
+                                  "delta_max = inf", "eta_plus = inf",
+                                  "seed_frames = 70000"])
 def test_bad_config_value_exit_1_on_every_command(workspace, capsys, command, line):
     (workspace / "run.cfg").write_text(f"# one bad value\n{line}\n")
     assert main([command, "--config", str(workspace / "run.cfg"),
@@ -380,6 +381,13 @@ def test_bad_config_value_exit_1_on_every_command(workspace, capsys, command, li
     assert error_places(err) in (["line 2"], ["line 2", "--steps"])
     assert len(err.strip().splitlines()) == 1
     assert not any(workspace.glob("out.*"))
+
+
+def test_seed_frames_past_max_steps_states_both_values(workspace, capsys):
+    (workspace / "run.cfg").write_text("seed_frames = 70000\n")
+    assert main(["gradcheck", "--config", str(workspace / "run.cfg")]) == 1
+    assert capsys.readouterr().err == ("error: line 1: seed_frames (70000) + num_steps (1) "
+                                       "must be <= MAX_STEPS = 65536\n")
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -63,6 +63,7 @@ def test_frame_accuracy_perfect():
     pred, _ = random_pair(2)
     pred[0, 0] = 1.0
     assert frame_accuracy([(pred, pred)]) == 1.0
+    assert frame_accuracy([]) == 1.0  # an empty tally counts as perfect
 
 
 def test_frame_accuracy_worked_example():

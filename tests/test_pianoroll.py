@@ -12,9 +12,9 @@ from choralegen.errors import (EmptyAfterQuantization, EmptyCorpus,
                                MalformedMidi, TooLong, TooShort,
                                UnsupportedFormat)
 from choralegen.pianoroll import (MIN_PITCH, NUM_PITCHES, PianoRoll,
-                                  QuantizationSpec, format_pianoroll_text,
-                                  frame_stack, load_corpus, load_roll,
-                                  parse_pianoroll_text, quantize, render_midi)
+                                  QuantizationSpec, frame_stack, load_corpus,
+                                  load_roll, parse_pianoroll_text, quantize,
+                                  render_midi)
 from choralegen.smf import NoteEvent, parse_midi, write_midi
 
 SPEC = QuantizationSpec(ticks_per_step=240)
@@ -296,14 +296,24 @@ def test_note_length_survives_a_round_trip_at_any_ppq(ppq):
     assert [e.duration_ticks / again_ppq for e in again] == [4.0]
 
 
-def test_text_format_round_trip(chorale64):
-    again = parse_pianoroll_text(format_pianoroll_text(chorale64))
-    assert np.array_equal(again.frames, chorale64.frames)
+TEXT_ROWS = ["1" + "0" * 87, "0" * 88, "0" * 86 + "11"]
 
 
-def test_text_format_header():
-    text = format_pianoroll_text(PianoRoll(np.zeros((3, 88))))
-    assert text.splitlines()[0] == "PIANOROLL v1 T=3 P=88"
+def test_parse_pianoroll_text():
+    roll = parse_pianoroll_text("PIANOROLL v1 T=3 P=88\n" + "\n".join(TEXT_ROWS) + "\n", "x")
+    expected = np.zeros((3, 88))
+    expected[0, 0] = expected[2, 86] = expected[2, 87] = 1.0
+    assert np.array_equal(roll.frames, expected) and roll.source_id == "x"
+
+
+@pytest.mark.parametrize("header, rows, message", [
+    ("PIANOROLL v1 T=4 P=88", TEXT_ROWS, "does not match body"),
+    ("PIANOROLL v1 T=3 P=88", TEXT_ROWS[:2], "does not match body"),
+    ("PIANOROLL v1 T=3 P=87", TEXT_ROWS, "does not match body"),
+    ("PIANOROLL v2 T=3 P=88", TEXT_ROWS, "bad piano-roll header")])
+def test_parse_pianoroll_text_rejects_a_bad_header(header, rows, message):
+    with pytest.raises(ValueError, match=message):
+        parse_pianoroll_text("\n".join([header, *rows]))
 
 
 def _write_roll(path, frames):

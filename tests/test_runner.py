@@ -152,7 +152,7 @@ def test_update_follows_the_optimizer_config_type():
     expected = {GDConfig(learning_rate=0.3): gd_step(params, grads, GDConfig(learning_rate=0.3)),
                 rprop: rprop_step(params, grads, rprop_init(params, rprop), rprop)[0]}
     for config, want in expected.items():
-        got, _ = train([roll], params.copy(), config, TrainConfig(max_epochs=1, target_mse=1e-9))
+        got, _ = train([roll], params, config, TrainConfig(max_epochs=1, target_mse=1e-9))
         assert np.array_equal(got.vector, want.vector)
 
 
