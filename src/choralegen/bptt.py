@@ -63,13 +63,15 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     d_out = (rows(dz_y) @ params.w_out).reshape(steps, n, nb)  # error reaching each h_t
     del dz_y
 
-    # d(gate pre-activation) per unit of dc (i, f, c) or of dh (o); each
-    # step below scales its row into that step's gate deltas. Sigmoid gate
-    # s: (g for i, c_{t-1} for f, tanh c for o) * s * (1 - s). Built in
-    # place, dz_c holding each 1 - s, to bound the memory of a corpus.
-    i, f, o, g = (gates[..., k * nb : (k + 1) * nb] for k in range(4))
+    # d(gate pre-activation) per unit of dh (o) or of dc (i, f, c); each
+    # step below scales its row into that step's gate deltas. Gates and
+    # deltas are in the o, i, f, c order of NetworkParams, so i, f and c
+    # are one (3, B) block. Sigmoid gate s: (tanh c for o, g for i,
+    # c_{t-1} for f) * s * (1 - s). Built in place, dz_c holding each
+    # 1 - s, to bound the memory of a corpus.
+    o, i, f, g = (gates[..., k * nb : (k + 1) * nb] for k in range(4))
     dz = np.empty_like(gates)
-    dz_i, dz_f, dz_o, dz_c = (dz[..., k * nb : (k + 1) * nb] for k in range(4))
+    dz_o, dz_i, dz_f, dz_c = (dz[..., k * nb : (k + 1) * nb] for k in range(4))
     tc = np.tanh(cells, out=dz_o)
     dc_dh = tc * tc
     np.subtract(1.0, dc_dh, out=dc_dh)
@@ -78,28 +80,31 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     dz_f[0] = 0.0  # c_{-1} = 0
     dz_f[1:] = cells[:-1]
     dz[..., : 3 * nb] *= gates[..., : 3 * nb]
-    for sig, dz_sig in ((i, dz_i), (f, dz_f), (o, dz_o)):
+    for sig, dz_sig in ((o, dz_o), (i, dz_i), (f, dz_f)):
         np.subtract(1.0, sig, out=dz_c)
         dz_sig *= dz_c
     np.multiply(g, g, out=dz_c)
     np.subtract(1.0, dz_c, out=dz_c)
     dz_c *= i
 
-    dh, dc = np.empty((n, nb)), np.empty((n, nb))
-    dh_carry, dc_carry = np.zeros((n, nb)), np.zeros((n, nb))
-    for t in range(steps - 1, -1, -1):
-        np.add(d_out[t], dh_carry, out=dh)
-        np.multiply(dh, dc_dh[t], out=dc)
+    # With N = 1 the loop runs on 1-D rows, whose numpy calls cost less.
+    per_step = [a[:, 0] if n == 1 else a for a in
+                (d_out, dc_dh, f, dz_o, dz.reshape(steps, n, 4, nb)[:, :, 1:], dz)]
+    row = per_step[0].shape[1:]
+    dh, dc, dh_carry, dc_carry = np.empty(row), np.empty(row), np.zeros(row), np.zeros(row)
+    dc_ifc = dc[..., None, :]  # dc broadcast over the i, f and c rows
+    for t, d_out_t, dc_dh_t, f_t, dz_o_t, dz_ifc_t, dz_t in zip(
+            range(steps - 1, -1, -1), *(a[::-1] for a in per_step)):
+        np.add(d_out_t, dh_carry, out=dh)
+        np.multiply(dh, dc_dh_t, out=dc)
         dc += dc_carry
-        dz_i[t] *= dc
-        dz_f[t] *= dc
-        dz_o[t] *= dh
-        dz_c[t] *= dc
-        np.matmul(dz[t], params.w_h, out=dh_carry)
-        np.multiply(dc, f[t], out=dc_carry)
+        dz_o_t *= dh
+        dz_ifc_t *= dc_ifc
+        np.dot(dz_t, params.w_h, out=dh_carry)
+        np.multiply(dc, f_t, out=dc_carry)
         if window and t % window == 0:  # a chunk starts: no error crosses it
             dh_carry[...] = dc_carry[...] = 0.0
-    del d_out, dc_dh
+    del d_out, dc_dh, per_step, d_out_t, dc_dh_t  # the last rows' views hold their arrays
 
     h_prev = np.concatenate([np.zeros((n, nb)), rows(outputs)[:-n]])  # h_{-1} = 0
     _blocked_product(rows(dz), rows(x), grads.w_x)

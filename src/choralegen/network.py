@@ -15,7 +15,8 @@ from .errors import LengthMismatch, NonFiniteActivation, ShapeMismatch
 
 # Serialization (.chlf) and initial-draw order: gates input, forget, output,
 # then cell candidate; per gate inputs-then-recurrent-then-bias; output
-# layer last. The in-memory layout stacks the gates instead (NetworkParams).
+# layer last. The in-memory layout stacks the gates instead, in the order
+# output, input, forget, cell candidate (NetworkParams).
 PARAM_FIELDS = (
     "wx_i", "wh_i", "b_i",
     "wx_f", "wh_f", "b_f",
@@ -58,10 +59,11 @@ class NetworkParams:
     reused (zeroed) as a gradient container.
 
     The vector holds the stacked gate matrices w_x (4B, I), w_h (4B, B)
-    and b (4B,), gate row blocks in the order i, f, o, c, followed by
+    and b (4B,), gate row blocks in the order o, i, f, c, followed by
     w_out (O, B) and b_out (O,). The per-gate arrays (wx_i, wh_f, b_c, ...)
     are views of those row blocks, so writes through any name land in
-    `vector`.
+    `vector`. In that order the three sigmoid gates are one 3B block, and
+    so are the three gates whose deltas scale with the cell-state error.
     """
 
     def __init__(self, vector: np.ndarray, num_inputs: int, num_blocks: int,
@@ -76,9 +78,9 @@ class NetworkParams:
             vector[i - n : i] for n, i in zip(sizes, np.cumsum(sizes).tolist()))
         self.w_x, self.w_h = w_x.reshape(4 * nb, ni), w_h.reshape(4 * nb, nb)
         self.w_out = w_out.reshape(no, nb)
-        self.wx_i, self.wx_f, self.wx_o, self.wx_c = w_x.reshape(4, nb, ni)
-        self.wh_i, self.wh_f, self.wh_o, self.wh_c = w_h.reshape(4, nb, nb)
-        self.b_i, self.b_f, self.b_o, self.b_c = self.b.reshape(4, nb)
+        self.wx_o, self.wx_i, self.wx_f, self.wx_c = w_x.reshape(4, nb, ni)
+        self.wh_o, self.wh_i, self.wh_f, self.wh_c = w_h.reshape(4, nb, nb)
+        self.b_o, self.b_i, self.b_f, self.b_c = self.b.reshape(4, nb)
 
     def arrays(self) -> list[np.ndarray]:
         """The 14 named views in PARAM_FIELDS (.chlf) order."""
@@ -135,19 +137,26 @@ def _sigmoid_inplace(a: np.ndarray):
 def _lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray):
     """One timestep of the LSTM equations, the only copy of them.
 
-    `z` holds the gate pre-activations (..., 4B) in the order i, f, o, c
-    and is overwritten with the activations: sigmoid i, f, o and tanh cell
+    `z` holds the gate pre-activations (..., 4B) in the order o, i, f, c
+    and is overwritten with the activations: sigmoid o, i, f and tanh cell
     input. The new cell state f*c + i*g goes to `c_out` and the block
     output o*tanh(c_out) to `h_out`. The caller ignores overflow.
+
+    One tanh covers all four gates, the sigmoid ones as
+    1/(1+exp(-a)) = 1/2 + tanh(a/2)/2. Halving is exact, so +-inf and NaN
+    map as the logistic maps them; the result is within 2.2e-16 of it.
     """
     nb = c_out.shape[-1]
-    _sigmoid_inplace(z[..., : 3 * nb])
-    g = z[..., 3 * nb :]
-    np.tanh(g, out=g)
-    np.multiply(z[..., nb : 2 * nb], c, out=c_out)
-    c_out += z[..., :nb] * g
+    sig = z[..., : 3 * nb]
+    sig *= 0.5
+    np.tanh(z, out=z)
+    sig *= 0.5
+    sig += 0.5
+    np.multiply(z[..., 2 * nb : 3 * nb], c, out=c_out)
+    np.multiply(z[..., nb : 2 * nb], z[..., 3 * nb :], out=h_out)  # i*g, h_out as scratch
+    c_out += h_out
     np.tanh(c_out, out=h_out)
-    h_out *= z[..., 2 * nb : 3 * nb]
+    h_out *= z[..., :nb]
 
 
 @dataclass
@@ -156,7 +165,7 @@ class ForwardTrace:
     (T, N, I) stack every array has the (T, N) leading axes."""
 
     x: np.ndarray            # (T, num_inputs)
-    gates: np.ndarray        # (T, 4B): sigmoid i, f, o then tanh cell input
+    gates: np.ndarray        # (T, 4B): sigmoid o, i, f then tanh cell input
     cell_states: np.ndarray  # (T, B)
     block_outputs: np.ndarray
     y: np.ndarray            # (T, num_outputs) predictions in (0, 1)
@@ -171,31 +180,38 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray) -> ForwardTrace:
     `inputs` is one sequence (T, I) or N sequences stacked step by step
     (T, N, I); every array of the trace then has the same leading axes.
     The input projection of all timesteps is one matrix product; each step
-    then adds one recurrent product into its row of the gate array.
+    then adds one recurrent product into its row of the gate array. The
+    gates are stored in the o, i, f, c order of NetworkParams. With N = 1
+    the steps run on 1-D rows, whose numpy calls cost less than on (1, .)
+    rows.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
         raise ValueError("inputs must be a non-empty (T, num_inputs) or "
                          "(T, N, num_inputs) array")
-    nb = params.num_blocks
+    nb, steps = params.num_blocks, len(inputs)
     lead = inputs.shape[:-1]
     cells = np.empty(lead + (nb,))
     outputs = np.empty(lead + (nb,))
-    c = h = np.zeros(nb)
+    w_hT = np.ascontiguousarray(params.w_h.T)
     # NaN is reported below, by timestep.
     with np.errstate(over="ignore", invalid="ignore"):
         gates = inputs.reshape(-1, inputs.shape[-1]) @ params.w_x.T
         gates += params.b
         gates = gates.reshape(lead + (4 * nb,))
-        for t, z in enumerate(gates):
-            z += h @ params.w_h.T
-            _lstm_cell(z, c, cells[t], outputs[t])
-            c, h = cells[t], outputs[t]
+        one_row = inputs[0].size == inputs.shape[-1]
+        rows = [a.reshape(steps, -1) if one_row else a for a in (gates, cells, outputs)]
+        c = h = np.zeros(rows[1].shape[1:])
+        tmp = np.empty(rows[0].shape[1:])
+        for z, c_out, h_out in zip(*rows):
+            np.dot(h, w_hT, out=tmp)
+            z += tmp
+            _lstm_cell(z, c, c_out, h_out)
+            c, h = c_out, h_out
         y = outputs.reshape(-1, nb) @ params.w_out.T
         y += params.b_out
         _sigmoid_inplace(y)
     y = y.reshape(lead + (params.num_outputs,))
-    steps = len(inputs)
     finite = (np.isfinite(cells.reshape(steps, -1)).all(axis=1)
               & np.isfinite(y.reshape(steps, -1)).all(axis=1))
     if not finite.all():

@@ -166,6 +166,15 @@ def test_matches_per_step_reference(seed):
     assert np.max(np.abs(grads.flatten() - expected.flatten())) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("window", [None, 4])
+def test_one_sequence_gradient_same_as_a_stack_of_one(window):
+    params, inputs, targets = random_instance(2, ni=4, nb=5, no=3, length=9)
+    alone = backward(params, forward_sequence(params, inputs), targets, window=window)
+    stacked = backward(params, forward_sequence(params, inputs[:, None]), targets[:, None],
+                       window=window)
+    assert np.array_equal(stacked.vector, alone.vector)
+
+
 def ragged_batch(seed, lengths, ni=2, nb=3, no=2, pad=0, scale=0.5):
     """A net, its pieces as (inputs, targets) pairs, and the pieces stacked
     step by step into zero-padded (max(lengths) + pad, N, .) arrays."""

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -78,10 +80,49 @@ def test_cell_decay_closed_form():
         assert np.allclose(c, decay ** t * c0, rtol=1e-12)
 
 
+def test_lstm_cell_matches_the_written_out_equations():
+    # Every pairing of four gates over pre-activations that saturate,
+    # overflow exp, are infinite or NaN, then a dense sweep: the tanh-form
+    # sigmoid gates stay within 2.3e-16 of the logistic, and the cell state
+    # and block output follow c = f*c_prev + i*g and h = o*tanh(c).
+    special = [-np.inf, -800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 800.0, np.inf, np.nan]
+    rng = np.random.Generator(np.random.PCG64(7))
+    dense = np.linspace(-50.0, 50.0, 4001)
+    o, i, f, g = np.hstack([np.array(list(itertools.product(special, repeat=4))).T,
+                            [rng.permutation(dense) for _ in range(4)]])
+    c_prev = rng.uniform(-3.0, 3.0, o.size)
+    z = np.concatenate([o, i, f, g])
+    c, h = np.empty(o.size), np.empty(o.size)
+    _lstm_cell(z, c_prev, c, h)
+
+    with np.errstate(over="ignore"):
+        logistic = lambda a: 1.0 / (1.0 + np.exp(-a))
+        want = [logistic(o), logistic(i), logistic(f), np.tanh(g)]
+    for got, expected in zip(np.split(z, 4), want):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=2.3e-16)
+    s_o, s_i, s_f, s_g = want
+    c_want = s_f * c_prev + s_i * s_g
+    np.testing.assert_allclose(c, c_want, rtol=0, atol=2e-15)
+    np.testing.assert_allclose(h, s_o * np.tanh(c_want), rtol=0, atol=2e-15)
+    nan_ifg = np.isnan(i) | np.isnan(f) | np.isnan(g)
+    assert np.array_equal(np.isnan(c), nan_ifg)
+    assert np.array_equal(np.isnan(h), nan_ifg | np.isnan(o))
+
+
+def test_one_sequence_runs_the_same_as_a_stack_of_one():
+    # train passes one piece as a (T, 1, I) stack; it steps on the same
+    # 1-D rows as the (T, I) sequence, so every trace array has its bits.
+    params = init_params(small_config(num_inputs=88, num_blocks=16, num_outputs=88))
+    x = (np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (30, 88)) < 0.1).astype(float)
+    alone, stacked = forward_sequence(params, x), forward_sequence(params, x[:, None])
+    for name in ("x", "gates", "cell_states", "block_outputs", "y"):
+        assert np.array_equal(getattr(stacked, name)[:, 0], getattr(alone, name)), name
+
+
 def test_gate_ranges():
     params = init_params(small_config(init_scale=2.0))
     trace = forward_sequence(params, np.ones((6, 3)))
-    for gates in np.split(trace.gates, 4, axis=-1)[:3]:  # input, forget, output
+    for gates in np.split(trace.gates, 4, axis=-1)[:3]:  # output, input, forget
         assert np.all((gates > 0) & (gates < 1))
     assert np.all((trace.block_outputs > -1) & (trace.block_outputs < 1))
 

@@ -1,5 +1,6 @@
 import functools
 import os
+import platform
 import subprocess
 import sys
 
@@ -166,7 +167,7 @@ def test_non_finite_parameter_raises_non_finite_loss():
 
 def test_generate_reports_row_of_non_finite_step():
     # Pitches 3 and 4 are silent in the seed and switched on by the output
-    # bias in the first generated row; together they overflow input-gate
+    # bias in the first generated row; together they overflow output-gate
     # row 0 to +inf, which meets its -inf bias: NaN in the step fed by row 3.
     params = init_params(NetworkConfig(num_blocks=8, init_scale=0.0))
     params.b_out[[3, 4]] = 10.0
@@ -289,3 +290,46 @@ def test_model_bytes_independent_of_blas_threads():
     assert one[:4] == b"CHLF" and one.count(b"CHLF") == 3
     assert b"EvalReport(pieces=[PieceScore(" in one
     assert model_bytes(2) == one
+
+
+RPROP_40_EPOCHS = """
+import sys
+from conftest import chorale_piece
+from choralegen.model_io import serialize_model
+from choralegen.network import NetworkConfig, init_params
+from choralegen.optim import RPropConfig
+from choralegen.runner import TrainConfig, train
+params, _ = train([chorale_piece(s) for s in range(10)],
+                  init_params(NetworkConfig(num_blocks=32, rng_seed=0)),
+                  RPropConfig(), TrainConfig(max_epochs=40, target_mse=1e-9))
+sys.stdout.buffer.write(serialize_model(params))
+"""
+
+
+def dynamic_arch_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or not dynamic_arch_openblas(),
+                    reason="needs numpy on a DYNAMIC_ARCH OpenBLAS on x86-64")
+def test_rprop_model_bytes_independent_of_blas_kernel_family():
+    # OPENBLAS_CORETYPE forces one kernel family. Prescott is the x86-64
+    # floor, so every x86-64 CPU can run it. Its products may round other
+    # than the default family's in the last bit; RProp reads only the sign
+    # of each gradient entry, so the trained bytes must not move.
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+
+    def model_bytes(**family):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **family)
+        return subprocess.run([sys.executable, "-c", RPROP_40_EPOCHS], env=env,
+                              capture_output=True, check=True).stdout
+
+    default = model_bytes()
+    assert default[:4] == b"CHLF"
+    assert model_bytes(OPENBLAS_CORETYPE="Prescott") == default
