@@ -14,7 +14,7 @@ class UnsupportedFormat(Error):
 
 
 class EmptyAfterQuantization(Error):
-    """Quantization produced a roll with no frames."""
+    """Quantization produced a roll with no frames, or a roll to render has no note."""
 
 
 class TooShort(Error):

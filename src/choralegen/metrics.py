@@ -3,7 +3,7 @@ frame-level accuracy (sum TP / sum(TP + FP + FN))."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,9 @@ class PieceScore:
 
 @dataclass
 class EvalReport:
-    pieces: list[PieceScore] = field(default_factory=list)
-    macro_f1: float = 0.0
-    frame_accuracy: float = 0.0
+    pieces: list[PieceScore]
+    macro_f1: float
+    frame_accuracy: float
 
 
 def _count(predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -83,11 +83,10 @@ def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
     y = forward_sequence(params, stack[:-1]).y
     counts = [_count(y[:m, n] > threshold, stack[1 : m + 1, n])
               for n, m in enumerate(lengths)]
-    report = EvalReport([PieceScore(roll.source_id, *_prf(*c.tolist()))
-                         for roll, c in zip(test_rolls, counts)])
-    report.macro_f1 = float(np.mean([s.f1 for s in report.pieces]))
-    report.frame_accuracy = _accuracy(*np.sum(counts, axis=0).tolist())
-    return report
+    pieces = [PieceScore(roll.source_id, *_prf(*c.tolist()))
+              for roll, c in zip(test_rolls, counts)]
+    return EvalReport(pieces, float(np.mean([s.f1 for s in pieces])),
+                      _accuracy(*np.sum(counts, axis=0).tolist()))
 
 
 def format_report(report: EvalReport, model: str) -> str:

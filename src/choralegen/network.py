@@ -45,8 +45,8 @@ class NetworkConfig:
             raise ValueError(f"{param_count(self)} parameters exceed MAX_PARAMS = {MAX_PARAMS}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
-        if not 0 <= self.init_scale < np.inf:
-            raise ValueError("init_scale must be finite and >= 0")
+        if not 0 <= 2 * self.init_scale < np.inf:  # the width of init_params' draw
+            raise ValueError("init_scale must be >= 0, with 2 * init_scale finite")
 
 
 def param_count(config: NetworkConfig) -> int:

@@ -50,12 +50,11 @@ class RPropState:
     """Per-weight vectors in the `NetworkParams.vector` layout."""
     step_sizes: np.ndarray  # in [delta_min, delta_max]: start at delta_zero, clipped each step
     prev_grad_sign: np.ndarray  # entries in {-1, 0, +1}
-    prev_weight_delta: np.ndarray
 
 
 def rprop_init(params: NetworkParams, config: RPropConfig) -> RPropState:
     n = params.size()
-    return RPropState(np.full(n, config.delta_zero), np.zeros(n), np.zeros(n))
+    return RPropState(np.full(n, config.delta_zero), np.zeros(n))
 
 
 def rprop_step(params: NetworkParams, grads: NetworkParams, state: RPropState,
@@ -71,12 +70,11 @@ def rprop_step(params: NetworkParams, grads: NetworkParams, state: RPropState,
     delta = np.clip(state.step_sizes * factor, config.delta_min, config.delta_max)
     w = params.vector.copy()
     if config.variant == "with_backtracking":
-        flipped = agree < 0
-        np.subtract(w, state.prev_weight_delta, out=w, where=flipped)
+        flipped = agree < 0  # undo the last move, -step_sizes * prev_grad_sign
+        np.add(w, state.step_sizes * state.prev_grad_sign, out=w, where=flipped)
         np.copyto(sign, 0.0, where=flipped)  # skip the next adaptation
-    dw = -delta * sign
-    w += dw
-    return params.with_flat(w), RPropState(delta, sign, dw)
+    w -= delta * sign
+    return params.with_flat(w), RPropState(delta, sign)
 
 
 def gd_step(params: NetworkParams, grads: NetworkParams, config: GDConfig) -> NetworkParams:

@@ -38,8 +38,8 @@ class QuantizationSpec:
     def __post_init__(self):
         if self.ticks_per_step < 1:
             raise ValueError("ticks_per_step must be >= 1")
-        if not 0 < self.step_fraction < math.inf:
-            raise ValueError("step_fraction must be finite and > 0")
+        if not 0 < 0x7FFF * self.step_fraction < math.inf:  # for_ppq's product at the top PPQ
+            raise ValueError("step_fraction must be > 0, with 32767 * step_fraction finite")
 
     @classmethod
     def for_ppq(cls, ppq: int, step_fraction: float = DEFAULT_STEP_FRACTION):
@@ -123,7 +123,9 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     """Render a roll as a format-0 SMF; consecutive on-steps merge into one note.
 
     One roll step spans spec.ticks_per_step ticks, and the file's PPQ makes
-    it spec.step_fraction quarter notes.
+    it spec.step_fraction quarter notes. The file ends at the last note-off,
+    so trailing silent steps are dropped; a roll with no sounding cell, whose
+    file would read back as no events, raises EmptyAfterQuantization.
     """
     tps = spec.ticks_per_step
     if len(roll) * tps >= 1 << 63:
@@ -133,6 +135,8 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     # step after its last, so the flat nonzero indices alternate start, end.
     edges = np.diff(np.pad(roll.frames.T, ((0, 0), (1, 1))))
     first, after = np.flatnonzero(edges).reshape(-1, 2).T
+    if not first.size:
+        raise EmptyAfterQuantization(f"{roll.source_id or 'roll'}: no sounding note to render")
     col, start = np.divmod(first, edges.shape[1])
     events = checked_notes(zip((MIN_PITCH + col).tolist(), (start * tps).tolist(),
                                ((after - first) * tps).tolist(), repeat(0)))

@@ -108,14 +108,14 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
             raise MalformedMidi("data byte with no running status")
 
         size = _DATA_BYTES[status]
-        if size == 2:
-            if pos + 2 > end:
+        if size:
+            if pos + size > end:
                 raise MalformedMidi("truncated channel event")
-            key, value = data[pos], data[pos + 1]
-            pos += 2
+            key, value = data[pos], data[pos + size - 1]  # one byte: key is value
+            pos += size
             if (key | value) & 0x80:
                 raise MalformedMidi("data byte >= 0x80 in channel event")
-            kind = status & 0xF0
+            kind = status & 0xF0  # the one-byte kinds, 0xC0 and 0xD0, hold no note
             if kind == 0x90 and value:
                 opens[key].append(tick)
             elif kind <= 0x90:  # note-off, or note-on at velocity 0
@@ -123,12 +123,6 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
                 if queue:
                     onset = queue.popleft()
                     notes.append((key, onset, max(1, tick - onset), track))
-        elif size:
-            if pos >= end:
-                raise MalformedMidi("truncated channel event")
-            if data[pos] & 0x80:
-                raise MalformedMidi("data byte >= 0x80 in channel event")
-            pos += 1
         elif status == 0xFF or status == 0xF0 or status == 0xF7:
             meta_type = None
             if status == 0xFF:

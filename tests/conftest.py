@@ -37,7 +37,12 @@ def random_roll(rng: np.random.Generator, num_frames: int = 8,
     return PianoRoll(frames, source_id="random")
 
 
-@pytest.fixture(scope="session")
-def chorale64() -> PianoRoll:
+def load_chorale64() -> PianoRoll:
+    """The bundled 64-frame chorale-style fixture of criteria 3 and 7."""
     with open(os.path.join(DATA_DIR, "chorale64.txt")) as fh:
         return parse_pianoroll_text(fh.read(), source_id="chorale64")
+
+
+@pytest.fixture(scope="session")
+def chorale64() -> PianoRoll:
+    return load_chorale64()

@@ -1,0 +1,97 @@
+"""Byte ledger: the sha256 of every model, history, MIDI file and report
+that a fixed set of training recipes makes, printed as one sorted JSON
+object. Nothing in it depends on the machine, so two source trees whose
+ledgers are equal train, generate and score to the same bytes on these
+recipes. Run it against a tree as
+
+    PYTHONPATH=<tree>/src:tests python tests/ledger.py
+
+The entries whose names begin with "gd" come from gradient-descent
+training, whose bytes are not promised across BLAS kernel families (see
+README, Determinism); every other entry comes from RProp training.
+"""
+
+import hashlib
+import json
+
+from choralegen.metrics import evaluate
+from choralegen.model_io import serialize_model
+from choralegen.network import NetworkConfig, init_params
+from choralegen.optim import GDConfig, RPropConfig
+from choralegen.pianoroll import QuantizationSpec, render_midi
+from choralegen.runner import (GenerationConfig, TrainConfig, format_history,
+                               generate, reconstruct, train)
+
+from conftest import chorale_piece, load_chorale64
+from test_acceptance import FIXTURE_NET, FIXTURE_OPT, FIXTURE_TRAIN
+
+# 40 epochs of a 32-block net on ten 32-frame pieces, per optimizer
+# setting; each model is scored on a ragged held-out split.
+CORPUS_RECIPES = {
+    "rprop40": (RPropConfig(), None),
+    "backtrack40": (RPropConfig(delta_max=1.0, variant="with_backtracking"), None),
+    "gd40": (GDConfig(learning_rate=0.5), None),
+    "truncated40": (RPropConfig(), 5),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def criterion3(out: dict):
+    """The pinned single-piece recipe of criteria 3 and 7."""
+    piece = load_chorale64()
+    params, history = train([piece], init_params(FIXTURE_NET), FIXTURE_OPT, FIXTURE_TRAIN)
+    spec = QuantizationSpec(ticks_per_step=240)
+    rendition, _ = reconstruct(params, piece, GenerationConfig(threshold=0.9))
+    generated = generate(params, piece.frames[:1], GenerationConfig(threshold=0.9, num_steps=32))
+    out["criterion3.model"] = sha256(serialize_model(params))
+    out["criterion3.epochs_run"] = history.epochs_run
+    out["criterion3.reconstruct_mid"] = sha256(render_midi(rendition, spec))
+    out["criterion3.generate_mid"] = sha256(render_midi(generated, spec))
+
+
+def corpus40(out: dict):
+    corpus = [chorale_piece(s) for s in range(10)]
+    held_out = [chorale_piece(s, n) for s, n in zip(range(10, 16), (8, 33, 17, 64, 2, 40))]
+    for name, (optimizer, window) in CORPUS_RECIPES.items():
+        params, history = train(corpus, init_params(NetworkConfig(num_blocks=32, rng_seed=0)),
+                                optimizer, TrainConfig(max_epochs=40, target_mse=1e-9,
+                                                       truncation_window=window))
+        out[f"{name}.model"] = sha256(serialize_model(params))
+        out[f"{name}.history"] = sha256(format_history(history).encode())
+        out[f"{name}.evaluate"] = sha256(repr(evaluate(params, held_out)).encode())
+
+
+def wide_and_long(out: dict):
+    """A 64-block RProp model with a top-k generation and a ragged
+    evaluation at threshold 0.5, and gradient descent on stacks past one
+    128-row block: one 400-frame piece, and a ragged corpus of 203 rows."""
+    params, _ = train([chorale_piece(s) for s in range(6)],
+                      init_params(NetworkConfig(num_blocks=64, rng_seed=0)),
+                      RPropConfig(delta_max=0.1), TrainConfig(max_epochs=15, target_mse=1e-9))
+    held_out = [chorale_piece(s, n) for s, n in zip(range(6, 11), (20, 45, 32, 27, 38))]
+    roll = generate(params, held_out[0].frames[:2],
+                    GenerationConfig(threshold=0.5, num_steps=48, fallback="top_k"))
+    out["rprop64.model"] = sha256(serialize_model(params))
+    out["rprop64.generate_top_k"] = sha256(roll.frames.tobytes())
+    out["rprop64.evaluate"] = sha256(repr(evaluate(params, held_out, threshold=0.5)).encode())
+    corpora = {"gd_long": [chorale_piece(11, 400)],
+               "gd_ragged": [chorale_piece(s, n) for s, n in zip(range(12, 16),
+                                                                 (150, 97, 203, 64))]}
+    for name, corpus in corpora.items():
+        params, _ = train(corpus, init_params(NetworkConfig(num_blocks=32, rng_seed=1)),
+                          GDConfig(), TrainConfig(max_epochs=3, target_mse=1e-9))
+        out[f"{name}.model"] = sha256(serialize_model(params))
+
+
+def ledger() -> dict:
+    out = {}
+    for recipe in (criterion3, corpus40, wide_and_long):
+        recipe(out)
+    return out
+
+
+if __name__ == "__main__":
+    print(json.dumps(ledger(), indent=1, sort_keys=True))

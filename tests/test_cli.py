@@ -196,6 +196,23 @@ def test_too_long_seed_exit_1(workspace, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "reconstruct"])
+def test_silent_rendition_exit_1(workspace, capsys, command):
+    # The seed's first step is silent and the untrained model predicts no
+    # note, so the roll to write holds none: a file its own reader refuses.
+    frames = alternating_frames()
+    frames[0] = 0.0
+    late = workspace / "late.mid"
+    late.write_bytes(render_midi(PianoRoll(frames), SPEC))
+    out = workspace / "out.mid"
+    args = (["--seed-midi", str(late), "--steps", "8"] if command == "generate"
+            else ["--midi", str(late)])
+    assert main([command, "--model", untrained_model(workspace), *args,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: generated: no sounding note to render\n"
+    assert not out.exists()
+
+
 def test_reconstruct_one_frame_piece_exit_1(workspace, capsys):
     one = workspace / "one.mid"
     one.write_bytes(write_midi([NoteEvent(60, 0, 240)], 480))  # one eighth-note step
@@ -371,7 +388,8 @@ COMMANDS = ["train", "generate", "evaluate", "reconstruct", "gradcheck"]
                                   "optimizer = adam", "rprop_variant = x",
                                   "truncation_window = -3", "learning_rate = nan",
                                   "delta_max = inf", "eta_plus = inf",
-                                  "seed_frames = 70000"])
+                                  "seed_frames = 70000", "init_scale = 1e308",
+                                  "step_fraction = 1e306"])
 def test_bad_config_value_exit_1_on_every_command(workspace, capsys, command, line):
     (workspace / "run.cfg").write_text(f"# one bad value\n{line}\n")
     assert main([command, "--config", str(workspace / "run.cfg"),

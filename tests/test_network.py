@@ -5,8 +5,8 @@ import pytest
 
 from choralegen.errors import LengthMismatch, NonFiniteActivation
 from choralegen.network import (MAX_PARAMS, NetworkConfig, _lstm_cell,
-                                forward_sequence, forward_step, init_params,
-                                mse_loss, param_count)
+                                forward_sequence, init_params, mse_loss,
+                                param_count)
 
 
 def small_config(**kw):
@@ -30,7 +30,7 @@ def test_param_count_formula_arbitrary_sizes():
 
 @pytest.mark.parametrize("bad", [dict(rng_seed=-1), dict(init_scale=-0.1),
                                  dict(init_scale=float("inf")), dict(init_scale=float("nan")),
-                                 dict(num_blocks=2048)])
+                                 dict(num_blocks=2048), dict(init_scale=1e308)])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         NetworkConfig(**bad)
@@ -61,7 +61,7 @@ def test_init_scale_zero():
 
 def test_zero_params_predict_half():
     params = init_params(small_config(init_scale=0.0))
-    y = forward_step(params, np.ones(3))
+    y = forward_sequence(params, np.ones((1, 3))).y[0]
     assert np.all(y == 0.5)
 
 

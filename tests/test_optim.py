@@ -25,7 +25,7 @@ def grad_like(params, value):
 def test_init_step_sizes():
     params = make_params()
     state = rprop_init(params, RPropConfig())
-    for vector in (state.step_sizes, state.prev_grad_sign, state.prev_weight_delta):
+    for vector in (state.step_sizes, state.prev_grad_sign):
         assert isinstance(vector, np.ndarray) and vector.shape == (params.size(),)
     assert np.all(state.step_sizes == 0.1)
     assert np.all(state.prev_grad_sign == 0)
@@ -166,7 +166,9 @@ def test_config_validation():
 
 def masked_rprop_step(w, grad, step_sizes, prev_sign, prev_delta, config):
     """The update in masked form, one gather and scatter per case: the oracle
-    for `rprop_step`. Returns new weights, step sizes, signs and deltas."""
+    for `rprop_step`. Backtracking reverts the weight change it stored, as
+    Rprop+ is usually written. Returns new weights, step sizes, signs and
+    that change."""
     w, delta = w.copy(), step_sizes.copy()
     sign = np.sign(grad)
     agree = prev_sign * sign
@@ -210,13 +212,12 @@ def test_rprop_step_matches_masked_reference(config, seed, num_steps):
     params = make_params(seed % 5)
     state = rprop_init(params, config)
     expected = (params.vector, state.step_sizes, state.prev_grad_sign,
-                state.prev_weight_delta)
+                np.zeros(params.size()))
     for grad in mixed_gradients(seed, params.size(), num_steps):
         params, state = rprop_step(params, params.with_flat(grad), state, config)
         expected = masked_rprop_step(expected[0], grad, *expected[1:], config)
-        got = (params.vector, state.step_sizes, state.prev_grad_sign,
-               state.prev_weight_delta)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+        got = (params.vector, state.step_sizes, state.prev_grad_sign)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected[:3]]
 
 
 @pytest.mark.parametrize("variant", ["plain", "with_backtracking"])
@@ -239,8 +240,7 @@ def test_rprop_step_leaves_its_inputs_unchanged(variant):
     grads = list(mixed_gradients(7, params.size(), 2))
     _, state = rprop_step(params, params.with_flat(grads[0]), rprop_init(params, config),
                           config)
-    inputs = (params.vector, grads[1], state.step_sizes, state.prev_grad_sign,
-              state.prev_weight_delta)
+    inputs = (params.vector, grads[1], state.step_sizes, state.prev_grad_sign)
     before = [a.tobytes() for a in inputs]
     rprop_step(params, params.with_flat(grads[1]), state, config)
     assert [a.tobytes() for a in inputs] == before

@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import platform
 import subprocess
@@ -247,63 +248,26 @@ def test_reconstruct_untrained_is_poor():
     assert accuracy < 0.2
 
 
-TRAIN_AND_DUMP = """
-import sys
-from conftest import chorale_piece
-from choralegen.metrics import evaluate
-from choralegen.model_io import serialize_model
-from choralegen.network import NetworkConfig, init_params
-from choralegen.optim import GDConfig, RPropConfig
-from choralegen.runner import GenerationConfig, TrainConfig, generate, train
-params, _ = train([chorale_piece(s) for s in range(6)],
-                  init_params(NetworkConfig(num_blocks=64, rng_seed=0)),
-                  RPropConfig(delta_max=0.1), TrainConfig(max_epochs=15, target_mse=1e-9))
-# Gradient descent keeps every bit of the gradient: one 400-frame piece, and
-# a ragged corpus whose stack has 203 rows, both past one 128-row block.
-for corpus in ([chorale_piece(11, 400)],
-               [chorale_piece(s, n) for s, n in zip(range(12, 16), (150, 97, 203, 64))]):
-    gd_params, _ = train(corpus, init_params(NetworkConfig(num_blocks=32, rng_seed=1)),
-                         GDConfig(), TrainConfig(max_epochs=3, target_mse=1e-9))
-    sys.stdout.buffer.write(serialize_model(gd_params))
-held_out = [chorale_piece(s, length) for s, length in zip(range(6, 11), (20, 45, 32, 27, 38))]
-roll = generate(params, held_out[0].frames[:2],
-                GenerationConfig(threshold=0.5, num_steps=48, fallback="top_k"))
-report = evaluate(params, held_out, threshold=0.5)
-sys.stdout.buffer.write(serialize_model(params) + roll.frames.tobytes()
-                        + repr(report).encode())
-"""
+@functools.lru_cache(maxsize=None)
+def ledger(threads=1, coretype=None) -> dict:
+    """`ledger.py`'s entries, from a fresh process at this BLAS thread
+    count and, if given, this forced OpenBLAS kernel family."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    return json.loads(subprocess.run([sys.executable, os.path.join(here, "ledger.py")], env=env,
+                                     capture_output=True, check=True).stdout)
 
 
 def test_model_bytes_independent_of_blas_threads():
-    # Covers RProp and gradient-descent training, the fused-GEMV generation
-    # steps and the batched (T_max, N, 88) forward of evaluate on a ragged split.
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
-
-    def model_bytes(threads):
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads),
-                   OMP_NUM_THREADS=str(threads))
-        return subprocess.run([sys.executable, "-c", TRAIN_AND_DUMP], env=env,
-                              capture_output=True, check=True).stdout
-
-    one = model_bytes(1)
-    assert one[:4] == b"CHLF" and one.count(b"CHLF") == 3
-    assert b"EvalReport(pieces=[PieceScore(" in one
-    assert model_bytes(2) == one
-
-
-RPROP_40_EPOCHS = """
-import sys
-from conftest import chorale_piece
-from choralegen.model_io import serialize_model
-from choralegen.network import NetworkConfig, init_params
-from choralegen.optim import RPropConfig
-from choralegen.runner import TrainConfig, train
-params, _ = train([chorale_piece(s) for s in range(10)],
-                  init_params(NetworkConfig(num_blocks=32, rng_seed=0)),
-                  RPropConfig(), TrainConfig(max_epochs=40, target_mse=1e-9))
-sys.stdout.buffer.write(serialize_model(params))
-"""
+    # Every ledger entry: RProp and gradient-descent training, the fused-GEMV
+    # generation steps, MIDI rendering and the batched (T_max, N, 88)
+    # forward of evaluate on ragged splits.
+    one = ledger()
+    assert one and ledger(threads=2) == one
 
 
 def dynamic_arch_openblas():
@@ -320,16 +284,7 @@ def test_rprop_model_bytes_independent_of_blas_kernel_family():
     # OPENBLAS_CORETYPE forces one kernel family. Prescott is the x86-64
     # floor, so every x86-64 CPU can run it. Its products may round other
     # than the default family's in the last bit; RProp reads only the sign
-    # of each gradient entry, so the trained bytes must not move.
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
-
-    def model_bytes(**family):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **family)
-        return subprocess.run([sys.executable, "-c", RPROP_40_EPOCHS], env=env,
-                              capture_output=True, check=True).stdout
-
-    default = model_bytes()
-    assert default[:4] == b"CHLF"
-    assert model_bytes(OPENBLAS_CORETYPE="Prescott") == default
+    # of each gradient entry, so no bytes of an RProp entry may move.
+    rprop = {k: v for k, v in ledger().items() if not k.startswith("gd")}
+    forced = ledger(coretype="Prescott")
+    assert rprop and {k: forced[k] for k in rprop} == rprop
