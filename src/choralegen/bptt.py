@@ -87,10 +87,8 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     np.subtract(1.0, dz_c, out=dz_c)
     dz_c *= i
 
-    # With N = 1 the loop runs on 1-D rows, whose numpy calls cost less.
-    per_step = [a[:, 0] if n == 1 else a for a in
-                (d_out, dc_dh, f, dz_o, dz.reshape(steps, n, 4, nb)[:, :, 1:], dz)]
-    row = per_step[0].shape[1:]
+    per_step = (d_out, dc_dh, f, dz_o, dz.reshape(steps, n, 4, nb)[:, :, 1:], dz)
+    row = (n, nb)
     dh, dc, dh_carry, dc_carry = np.empty(row), np.empty(row), np.zeros(row), np.zeros(row)
     dc_ifc = dc[..., None, :]  # dc broadcast over the i, f and c rows
     for t, d_out_t, dc_dh_t, f_t, dz_o_t, dz_ifc_t, dz_t in zip(

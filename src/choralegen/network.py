@@ -181,9 +181,7 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray) -> ForwardTrace:
     (T, N, I); every array of the trace then has the same leading axes.
     The input projection of all timesteps is one matrix product; each step
     then adds one recurrent product into its row of the gate array. The
-    gates are stored in the o, i, f, c order of NetworkParams. With N = 1
-    the steps run on 1-D rows, whose numpy calls cost less than on (1, .)
-    rows.
+    gates are stored in the o, i, f, c order of NetworkParams.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
@@ -199,11 +197,9 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray) -> ForwardTrace:
         gates = inputs.reshape(-1, inputs.shape[-1]) @ params.w_x.T
         gates += params.b
         gates = gates.reshape(lead + (4 * nb,))
-        one_row = inputs[0].size == inputs.shape[-1]
-        rows = [a.reshape(steps, -1) if one_row else a for a in (gates, cells, outputs)]
-        c = h = np.zeros(rows[1].shape[1:])
-        tmp = np.empty(rows[0].shape[1:])
-        for z, c_out, h_out in zip(*rows):
+        c = h = np.zeros(cells.shape[1:])
+        tmp = np.empty(gates.shape[1:])
+        for z, c_out, h_out in zip(gates, cells, outputs):
             np.dot(h, w_hT, out=tmp)
             z += tmp
             _lstm_cell(z, c, c_out, h_out)

@@ -30,8 +30,8 @@ class RPropConfig:
             raise ValueError("need 0 < delta_min <= delta_zero <= delta_max")
         if not 0 < self.eta_minus < 1 < self.eta_plus:
             raise ValueError("need 0 < eta_minus < 1 < eta_plus")
-        if not np.isfinite([self.delta_max, self.eta_plus]).all():
-            raise ValueError("delta_max and eta_plus must be finite")
+        if not self.delta_max * self.eta_plus < np.inf:  # so a grown step cannot overflow
+            raise ValueError("delta_max * eta_plus must be finite")
         if self.variant not in ("plain", "with_backtracking"):
             raise ValueError(f"unknown variant {self.variant!r}")
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -200,12 +201,12 @@ def load_corpus(directory: str, step_fraction: float = DEFAULT_STEP_FRACTION) ->
 
 
 def parse_pianoroll_text(text: str, source_id: str = "") -> PianoRoll:
-    """Text fixture form: a `PIANOROLL v1 T=<T> P=88` line, then T rows of 88 {0,1} chars."""
+    """Text fixture form: exactly a `PIANOROLL v1 T=<T> P=88` line, then T rows of 88 {0,1} chars."""
     lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("PIANOROLL v1 "):
+    header = re.fullmatch(r"PIANOROLL v1 T=(\d+) P=(\d+)", lines[0]) if lines else None
+    if not header:
         raise ValueError("bad piano-roll header")
-    fields = dict(part.split("=") for part in lines[0].split()[2:])
-    num_rows, num_cols = int(fields["T"]), int(fields["P"])
+    num_rows, num_cols = map(int, header.groups())
     if num_cols != NUM_PITCHES or len(lines) != num_rows + 1:
         raise ValueError("piano-roll header does not match body")
     frames = np.array([[float(ch) for ch in line] for line in lines[1:]])

@@ -389,7 +389,7 @@ COMMANDS = ["train", "generate", "evaluate", "reconstruct", "gradcheck"]
                                   "truncation_window = -3", "learning_rate = nan",
                                   "delta_max = inf", "eta_plus = inf",
                                   "seed_frames = 70000", "init_scale = 1e308",
-                                  "step_fraction = 1e306"])
+                                  "step_fraction = 1e306", "eta_plus = 1e308"])
 def test_bad_config_value_exit_1_on_every_command(workspace, capsys, command, line):
     (workspace / "run.cfg").write_text(f"# one bad value\n{line}\n")
     assert main([command, "--config", str(workspace / "run.cfg"),

@@ -110,8 +110,9 @@ def test_lstm_cell_matches_the_written_out_equations():
 
 
 def test_one_sequence_runs_the_same_as_a_stack_of_one():
-    # train passes one piece as a (T, 1, I) stack; it steps on the same
-    # 1-D rows as the (T, I) sequence, so every trace array has its bits.
+    # train passes one piece as a (T, 1, I) stack, which steps on (1, B)
+    # rows where the (T, I) sequence steps on 1-D rows. numpy runs both
+    # row products as the same GEMV, so every trace array has its bits.
     params = init_params(small_config(num_inputs=88, num_blocks=16, num_outputs=88))
     x = (np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (30, 88)) < 0.1).astype(float)
     alone, stacked = forward_sequence(params, x), forward_sequence(params, x[:, None])

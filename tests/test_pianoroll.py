@@ -315,7 +315,10 @@ def test_parse_pianoroll_text():
     ("PIANOROLL v1 T=4 P=88", TEXT_ROWS, "does not match body"),
     ("PIANOROLL v1 T=3 P=88", TEXT_ROWS[:2], "does not match body"),
     ("PIANOROLL v1 T=3 P=87", TEXT_ROWS, "does not match body"),
-    ("PIANOROLL v2 T=3 P=88", TEXT_ROWS, "bad piano-roll header")])
+    ("PIANOROLL v2 T=3 P=88", TEXT_ROWS, "bad piano-roll header"),
+    ("PIANOROLL v1 T=1", TEXT_ROWS[:1], "bad piano-roll header"),
+    ("PIANOROLL v1 T=1 P=88 X", TEXT_ROWS[:1], "bad piano-roll header"),
+    ("PIANOROLL v1 T=x P=88", TEXT_ROWS[:1], "bad piano-roll header")])
 def test_parse_pianoroll_text_rejects_a_bad_header(header, rows, message):
     with pytest.raises(ValueError, match=message):
         parse_pianoroll_text("\n".join([header, *rows]))

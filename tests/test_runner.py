@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def test_single_epoch_history():
                             TrainConfig(max_epochs=1, target_mse=1e-9))
     assert history.epochs_run == 1 and len(history.mse) == 1
     assert not history.converged
+
+
+def test_largest_finite_step_growth_trains_without_overflow():
+    # Epoch 3 is the first to grow a step already clipped to delta_max:
+    # 50 * 1e306 is finite, so rprop_step must not warn of an overflow.
+    config = RPropConfig(eta_plus=1e306)
+    assert config.delta_max * config.eta_plus < np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, history = train([alternating_roll()], small_net(), config,
+                           TrainConfig(max_epochs=3, target_mse=1e-9))
+    assert history.epochs_run == 3
 
 
 def test_empty_corpus_rejected():
