@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyCorpus, ShapeMismatch
 from .network import NetworkParams, forward_sequence
-from .pianoroll import PianoRoll, frame_stack
+from .pianoroll import PianoRoll, frame_pack
 
 
 @dataclass
@@ -74,19 +74,22 @@ def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
     """Teacher-forced one-step-ahead scoring: each input frame is ground
     truth, the thresholded prediction is scored against the next frame.
 
-    The pieces run as one (T_max, N, 88) stack, zero-padded at the end;
-    the recurrence is causal, so padding does not change any real row.
+    The pieces run packed by `frame_pack`, one row per real frame pair;
+    the report lists them in the caller's order.
     """
     if not test_rolls:
         raise EmptyCorpus("empty test split")
-    stack, lengths = frame_stack(test_rolls)
-    y = forward_sequence(params, stack[:-1]).y
-    counts = [_count(y[:m, n] > threshold, stack[1 : m + 1, n])
-              for n, m in enumerate(lengths)]
+    inputs, targets, batch_sizes, order = frame_pack(test_rolls)
+    hits = forward_sequence(params, inputs, batch_sizes).y > threshold
+    starts = np.cumsum(batch_sizes) - batch_sizes  # each step's first row
+    counts = np.empty((len(test_rolls), 3), dtype=np.int64)
+    for k, n in enumerate(order.tolist()):
+        rows = starts[batch_sizes > k] + k  # the k-th packed piece's rows
+        counts[n] = _count(hits[rows], targets[rows])
     pieces = [PieceScore(roll.source_id, *_prf(*c.tolist()))
               for roll, c in zip(test_rolls, counts)]
     return EvalReport(pieces, float(np.mean([s.f1 for s in pieces])),
-                      _accuracy(*np.sum(counts, axis=0).tolist()))
+                      _accuracy(*counts.sum(axis=0).tolist()))
 
 
 def format_report(report: EvalReport, model: str) -> str:

@@ -161,58 +161,91 @@ def _lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarra
 
 @dataclass
 class ForwardTrace:
-    """Per-timestep activations, everything exact BPTT needs. For a
-    (T, N, I) stack every array has the (T, N) leading axes."""
+    """Per-row activations, everything exact BPTT needs, in the packed
+    layout of the inputs (see `forward_sequence`)."""
 
-    x: np.ndarray            # (T, num_inputs)
-    gates: np.ndarray        # (T, 4B): sigmoid o, i, f then tanh cell input
-    cell_states: np.ndarray  # (T, B)
+    x: np.ndarray            # (rows, num_inputs)
+    gates: np.ndarray        # (rows, 4B): sigmoid o, i, f then tanh cell input
+    cell_states: np.ndarray  # (rows, B)
     block_outputs: np.ndarray
-    y: np.ndarray            # (T, num_outputs) predictions in (0, 1)
+    y: np.ndarray            # (rows, num_outputs) predictions in (0, 1)
+    batch_sizes: np.ndarray | None  # None: one sequence
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
 
-def forward_sequence(params: NetworkParams, inputs: np.ndarray) -> ForwardTrace:
-    """Run the whole sequence from the zero state (c and h all zero).
+def packed_runs(batch_sizes, rows: int) -> list[tuple[int, int, int, int]]:
+    """The runs of equal batch size of a packed layout of `rows` rows, as
+    (first step, first row, steps, batch size) each; None is one sequence.
 
-    `inputs` is one sequence (T, I) or N sequences stacked step by step
-    (T, N, I); every array of the trace then has the same leading axes.
-    The input projection of all timesteps is one matrix product; each step
-    then adds one recurrent product into its row of the gate array. The
-    gates are stored in the o, i, f, c order of NetworkParams.
+    Raises LengthMismatch unless the batch sizes are positive integers,
+    non-increasing and summing to `rows`.
+    """
+    if batch_sizes is None:
+        return [(0, 0, rows, 1)]
+    sizes = np.asarray(batch_sizes)
+    message = f"batch sizes must be positive integers, non-increasing and summing to {rows}"
+    if sizes.ndim != 1 or sizes.dtype.kind not in "iu" or not sizes.size:
+        raise LengthMismatch(message)
+    values = sizes.tolist()
+    ends = [t + 1 for t in np.nonzero(sizes[1:] != sizes[:-1])[0].tolist()] + [len(values)]
+    runs, row, first = [], 0, 0
+    for end in ends:
+        runs.append((first, row, end - first, values[first]))
+        row += (end - first) * values[first]
+        first = end
+    # Neighbouring runs differ in size, so non-increasing means each is smaller.
+    if row != rows or values[-1] < 1 or any(b[3] > a[3] for a, b in zip(runs, runs[1:])):
+        raise LengthMismatch(message)
+    return runs
+
+
+def forward_sequence(params: NetworkParams, inputs: np.ndarray,
+                     batch_sizes=None) -> ForwardTrace:
+    """Run every sequence from the zero state (c and h all zero).
+
+    `inputs` (rows, I) is one sequence, or with `batch_sizes` sequences
+    packed time-major as `pianoroll.frame_pack` makes them: step t holds
+    one row for each of the first `batch_sizes[t]` sequences, the longest
+    first. The input projection and the output layer are one matrix
+    product each over all rows; each step adds one recurrent product into
+    its rows of the gate array, on a (batch size, ·) block. The gates are
+    stored in the o, i, f, c order of NetworkParams.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
-        raise ValueError("inputs must be a non-empty (T, num_inputs) or "
-                         "(T, N, num_inputs) array")
-    nb, steps = params.num_blocks, len(inputs)
-    lead = inputs.shape[:-1]
-    cells = np.empty(lead + (nb,))
-    outputs = np.empty(lead + (nb,))
+    if inputs.ndim != 2 or inputs.shape[0] < 1:
+        raise ValueError("inputs must be a non-empty (rows, num_inputs) array")
+    runs = packed_runs(batch_sizes, len(inputs))
+    nb, width = params.num_blocks, runs[0][3]
+    cells = np.empty((len(inputs), nb))
+    outputs = np.empty_like(cells)
     w_hT = np.ascontiguousarray(params.w_h.T)
     # NaN is reported below, by timestep.
     with np.errstate(over="ignore", invalid="ignore"):
-        gates = inputs.reshape(-1, inputs.shape[-1]) @ params.w_x.T
+        gates = inputs @ params.w_x.T
         gates += params.b
-        gates = gates.reshape(lead + (4 * nb,))
-        c = h = np.zeros(cells.shape[1:])
-        tmp = np.empty(gates.shape[1:])
-        for z, c_out, h_out in zip(gates, cells, outputs):
-            np.dot(h, w_hT, out=tmp)
-            z += tmp
-            _lstm_cell(z, c, c_out, h_out)
-            c, h = c_out, h_out
-        y = outputs.reshape(-1, nb) @ params.w_out.T
+        c = h = np.zeros((width, nb))
+        scratch = np.empty((width, 4 * nb))
+        for _, row, steps, a in runs:
+            c, h, tmp = c[:a], h[:a], scratch[:a]
+            span = slice(row, row + steps * a)
+            for z, c_out, h_out in zip(*(v[span].reshape(steps, a, -1)
+                                         for v in (gates, cells, outputs))):
+                np.dot(h, w_hT, out=tmp)
+                z += tmp
+                _lstm_cell(z, c, c_out, h_out)
+                c, h = c_out, h_out
+        y = outputs @ params.w_out.T
         y += params.b_out
         _sigmoid_inplace(y)
-    y = y.reshape(lead + (params.num_outputs,))
-    finite = (np.isfinite(cells.reshape(steps, -1)).all(axis=1)
-              & np.isfinite(y.reshape(steps, -1)).all(axis=1))
+    finite = np.isfinite(cells).all(axis=1) & np.isfinite(y).all(axis=1)
     if not finite.all():
-        raise NonFiniteActivation(int(np.argmin(finite)))
-    return ForwardTrace(inputs, gates, cells, outputs, y)
+        bad = int(np.argmin(finite))
+        raise NonFiniteActivation(next(first + (bad - row) // a
+                                       for first, row, steps, a in runs
+                                       if bad < row + steps * a))
+    return ForwardTrace(inputs, gates, cells, outputs, y, batch_sizes)
 
 
 # Kept only because perfbench/tracing.WORK traces it by name (ROADMAP item 1).

@@ -1,4 +1,4 @@
-"""Piano-roll representation: quantization, next-frame stacks, corpus loading.
+"""Piano-roll representation: quantization, packed next-frame pairs, corpus loading.
 
 A roll is a T x 88 binary matrix; column 0 is A0 (MIDI 21), column 87 is
 C8 (MIDI 108). Row t holds every pitch sounding during step t.
@@ -76,15 +76,26 @@ def frame_pairs(roll: PianoRoll) -> int:
     return len(roll) - 1
 
 
-def frame_stack(rolls: list[PianoRoll]) -> tuple[np.ndarray, list[int]]:
-    """The rolls as one zero-padded (T_max + 1, N, 88) array, roll n in
-    column n, and each roll's `frame_pairs` T_n. `stack[:-1]` are the
-    inputs and `stack[1:]` the targets."""
-    lengths = [frame_pairs(roll) for roll in rolls]
-    stack = np.zeros((max(lengths) + 1, len(rolls), NUM_PITCHES))
-    for n, roll in enumerate(rolls):
-        stack[: len(roll), n] = roll.frames
-    return stack, lengths
+def frame_pack(rolls: list[PianoRoll]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rolls' next-frame pairs packed by length, as `forward_sequence`
+    and `backward` take them: (inputs, targets, batch_sizes, order).
+
+    The rolls are sorted longest first, ties in corpus order; `order[k]`
+    is the corpus index of the k-th. Inputs and targets are (ΣT_n, 88),
+    T_n being roll n's `frame_pairs`: step t holds one row for each roll
+    still running, `batch_sizes[t]` = #{n : T_n > t} of them in sorted
+    order, and the steps follow in time order.
+    """
+    lengths = np.array([frame_pairs(roll) for roll in rolls], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    batch_sizes = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
+    starts = np.cumsum(batch_sizes) - batch_sizes  # each step's first row
+    inputs = np.empty((lengths.sum(), NUM_PITCHES))
+    targets = np.empty_like(inputs)
+    for k, n in enumerate(order.tolist()):
+        rows = starts[: lengths[n]] + k
+        inputs[rows], targets[rows] = rolls[n].frames[:-1], rolls[n].frames[1:]
+    return inputs, targets, batch_sizes, order
 
 
 def quantize(events: list[NoteEvent], spec: QuantizationSpec,

@@ -1,8 +1,8 @@
 """Training and generation orchestration.
 
 Training is full batch with teacher forcing: every epoch forwards all
-sequences, stacked, on ground-truth inputs, backpropagates the sum of
-their losses, and applies exactly one optimizer step. Generation feeds
+sequences, packed by length, on ground-truth inputs, backpropagates the
+sum of their losses, and applies exactly one optimizer step. Generation feeds
 thresholded predictions back as the next input.
 """
 
@@ -20,7 +20,7 @@ from .network import (NetworkParams, _lstm_cell, _sigmoid_inplace,
                       forward_sequence)
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
-from .pianoroll import MAX_STEPS, PianoRoll, frame_pairs, frame_stack
+from .pianoroll import MAX_STEPS, PianoRoll, frame_pack, frame_pairs
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,14 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
     Total MSE is the mean over all sequences' timestep x unit entries. The
     gradient is that of the sum of the per-sequence MSEs, so each piece
     weighs the same whatever its length. Every epoch runs the whole corpus
-    as one zero-padded (T_max, N, 88) stack: one forward and one backward.
+    packed by `frame_pack`, one row per real frame pair: one forward and
+    one backward.
     The epoch at which the target is met performs no further update. The
     update is RProp for an RPropConfig and gradient descent for a GDConfig.
     """
     if not rolls:
         raise EmptyCorpus("no training sequences")
-    stack, lengths = frame_stack(rolls)
-    inputs, targets = stack[:-1], stack[1:]
-    total_entries = sum(lengths) * stack.shape[-1]
+    inputs, targets, batch_sizes, _ = frame_pack(rolls)
 
     rprop_state: RPropState | None = None
     if isinstance(optimizer_config, RPropConfig):
@@ -100,14 +99,11 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
     for epoch in range(config.max_epochs):
         start = time.perf_counter()
         try:
-            trace = forward_sequence(params, inputs)
-            grads = backward(params, trace, targets, loss_scale, lengths,
-                             config.truncation_window)
+            trace = forward_sequence(params, inputs, batch_sizes)
+            grads = backward(params, trace, targets, loss_scale, config.truncation_window)
         except (NonFiniteActivation, NonFiniteGradient) as exc:
             raise NonFiniteLoss(epoch) from exc
-        mse = sum(float(np.sum((trace.y[:m, n] - targets[:m, n]) ** 2))
-                  for n, m in enumerate(lengths)) / total_entries
-        del trace  # before the next epoch's forward allocates its own
+        mse = float(np.sum((trace.y - targets) ** 2)) / targets.size
         history.mse.append(mse)
         history.epochs_run = epoch + 1
         history.epoch_seconds.append(time.perf_counter() - start)
@@ -120,6 +116,10 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
             params, rprop_state = rprop_step(params, grads, rprop_state, optimizer_config)
         else:
             params = gd_step(params, grads, optimizer_config)
+        # Freed only now, just before the next forward asks for the same
+        # sizes: freed before the update, it let the update's temporaries
+        # reshape the heap, and the next epoch faulted in 2.5x the pages.
+        del trace
     return params, history
 
 

@@ -37,6 +37,16 @@ def random_roll(rng: np.random.Generator, num_frames: int = 8,
     return PianoRoll(frames, source_id="random")
 
 
+def pack(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences (T_n, .) packed one row at a time as `frame_pack` packs a
+    corpus: longest first, ties in list order, then step by step; and the
+    batch size of each step."""
+    order = sorted(range(len(seqs)), key=lambda n: -len(seqs[n]))
+    steps = range(len(seqs[order[0]]))
+    rows = [seqs[n][t] for t in steps for n in order if t < len(seqs[n])]
+    return np.array(rows), np.array([sum(t < len(s) for s in seqs) for t in steps])
+
+
 def load_chorale64() -> PianoRoll:
     """The bundled 64-frame chorale-style fixture of criteria 3 and 7."""
     with open(os.path.join(DATA_DIR, "chorale64.txt")) as fh:

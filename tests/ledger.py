@@ -64,10 +64,22 @@ def corpus40(out: dict):
         out[f"{name}.evaluate"] = sha256(repr(evaluate(params, held_out)).encode())
 
 
+def ragged40(out: dict):
+    """40 epochs of RProp on ten pieces of 2 to 150 frames, all lengths
+    distinct, so every step of the corpus has its own batch size."""
+    corpus = [chorale_piece(s, n) for s, n in zip(range(20, 30),
+                                                  (8, 33, 17, 64, 2, 40, 150, 25, 97, 31))]
+    params, history = train(corpus, init_params(NetworkConfig(num_blocks=32, rng_seed=0)),
+                            RPropConfig(), TrainConfig(max_epochs=40, target_mse=1e-9))
+    out["ragged40.model"] = sha256(serialize_model(params))
+    out["ragged40.history"] = sha256(format_history(history).encode())
+
+
 def wide_and_long(out: dict):
     """A 64-block RProp model with a top-k generation and a ragged
-    evaluation at threshold 0.5, and gradient descent on stacks past one
-    128-row block: one 400-frame piece, and a ragged corpus of 203 rows."""
+    evaluation at threshold 0.5, and gradient descent past one 128-row
+    block: on one 400-frame piece, and on four pieces of 64 to 203 frames,
+    510 packed rows."""
     params, _ = train([chorale_piece(s) for s in range(6)],
                       init_params(NetworkConfig(num_blocks=64, rng_seed=0)),
                       RPropConfig(delta_max=0.1), TrainConfig(max_epochs=15, target_mse=1e-9))
@@ -88,7 +100,7 @@ def wide_and_long(out: dict):
 
 def ledger() -> dict:
     out = {}
-    for recipe in (criterion3, corpus40, wide_and_long):
+    for recipe in (criterion3, corpus40, ragged40, wide_and_long):
         recipe(out)
     return out
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from choralegen.bptt import backward, finite_diff_gradient, max_relative_error
 from choralegen.errors import LengthMismatch
-from choralegen.network import (NetworkConfig, forward_sequence, init_params,
-                                mse_loss)
+from choralegen.network import NetworkConfig, forward_sequence, init_params
+
+from conftest import pack
 
 
 def random_instance(seed, ni=2, nb=3, no=2, length=5, scale=0.5):
@@ -76,9 +78,11 @@ def test_length_mismatch():
     trace = forward_sequence(params, inputs)
     with pytest.raises(LengthMismatch):
         backward(params, trace, targets[:-1])
-    for lengths in ([0], [len(inputs) + 1], [2, 2]):
+    # Batch sizes of 5 rows that are not positive, rise, or do not sum to 5.
+    for batch_sizes in ([5, 0], [1, 1, 1, 1], [1] * 6, [2, 3], [], [2.5, 2.5]):
         with pytest.raises(LengthMismatch):
-            backward(params, trace, targets, lengths=lengths)
+            backward(params, dataclasses.replace(trace, batch_sizes=np.array(batch_sizes)),
+                     targets)
 
 
 def test_loss_scaling_scales_gradients():
@@ -168,25 +172,23 @@ def test_matches_per_step_reference(seed):
 
 @pytest.mark.parametrize("window", [None, 4])
 def test_one_sequence_gradient_same_as_a_stack_of_one(window):
+    # One sequence is a packed corpus of one piece: batch size 1 at every step.
     params, inputs, targets = random_instance(2, ni=4, nb=5, no=3, length=9)
     alone = backward(params, forward_sequence(params, inputs), targets, window=window)
-    stacked = backward(params, forward_sequence(params, inputs[:, None]), targets[:, None],
-                       window=window)
-    assert np.array_equal(stacked.vector, alone.vector)
+    packed = forward_sequence(params, inputs, np.ones(len(inputs), dtype=np.int64))
+    assert np.array_equal(backward(params, packed, targets, window=window).vector, alone.vector)
 
 
-def ragged_batch(seed, lengths, ni=2, nb=3, no=2, pad=0, scale=0.5):
-    """A net, its pieces as (inputs, targets) pairs, and the pieces stacked
-    step by step into zero-padded (max(lengths) + pad, N, .) arrays."""
+def ragged_batch(seed, lengths, ni=2, nb=3, no=2, scale=0.5):
+    """A net, its pieces as (inputs, targets) pairs, and the pieces packed
+    longest first into (sum(lengths), .) rows with their batch sizes."""
     params = random_instance(seed, ni, nb, no, scale=scale)[0]
     rng = np.random.Generator(np.random.PCG64(seed + 2000))
     pieces = [(rng.uniform(0, 1, (n, ni)), (rng.uniform(0, 1, (n, no)) > 0.5).astype(float))
               for n in lengths]
-    inputs = np.zeros((max(lengths) + pad, len(lengths), ni))
-    targets = np.zeros((max(lengths) + pad, len(lengths), no))
-    for k, (x, y) in enumerate(pieces):
-        inputs[: len(x), k], targets[: len(y), k] = x, y
-    return params, pieces, inputs, targets
+    inputs, batch_sizes = pack([x for x, _ in pieces])
+    targets, _ = pack([y for _, y in pieces])
+    return params, pieces, inputs, targets, batch_sizes
 
 
 def max_norm_close(a, b, rel):
@@ -196,10 +198,11 @@ def max_norm_close(a, b, rel):
 def test_batched_gradient_is_the_sum_of_piece_gradients():
     # Each single-sequence gradient is that of its own MSE, i.e. of its
     # squared error scaled by 1/(T_n * outputs); the batch must weight its
-    # pieces the same way. 180 rows make two weight-gradient blocks.
+    # pieces the same way. 180 rows make two weight-gradient blocks, and
+    # the batch shrinks from 4 to 3 to 1 pieces.
     lengths = (60, 45, 30, 45)
-    params, pieces, inputs, targets = ragged_batch(3, lengths, ni=4, nb=5, no=3)
-    batched = backward(params, forward_sequence(params, inputs), targets, lengths=lengths)
+    params, pieces, inputs, targets, batch_sizes = ragged_batch(3, lengths, ni=4, nb=5, no=3)
+    batched = backward(params, forward_sequence(params, inputs, batch_sizes), targets)
     singles = [backward(params, forward_sequence(params, x), y).vector for x, y in pieces]
     assert max_norm_close(batched.vector, sum(singles), 1e-12)
     # A corpus-mean weighting, 1/sum(T * outputs) for every piece, differs.
@@ -209,35 +212,18 @@ def test_batched_gradient_is_the_sum_of_piece_gradients():
 
 def test_gradient_matches_finite_differences_on_ragged_batch():
     lengths = (5, 3, 4)
-    params, _, inputs, targets = ragged_batch(11, lengths)
-    analytic = backward(params, forward_sequence(params, inputs), targets, lengths=lengths)
-    numeric = finite_diff_gradient(params, inputs, targets, h=1e-5, lengths=lengths)
+    params, _, inputs, targets, batch_sizes = ragged_batch(11, lengths)
+    analytic = backward(params, forward_sequence(params, inputs, batch_sizes), targets)
+    numeric = finite_diff_gradient(params, inputs, targets, h=1e-5, batch_sizes=batch_sizes)
     assert max_relative_error(analytic, numeric) < 1e-6
-
-
-def batch_loss(y, targets, lengths):
-    return sum(float(np.mean((y[:n, k] - targets[:n, k]) ** 2)) for k, n in enumerate(lengths))
-
-
-def test_trailing_padding_adds_nothing():
-    lengths = (7, 4, 6)
-    runs = []
-    for pad in (0, 9):
-        params, _, inputs, targets = ragged_batch(5, lengths, pad=pad)
-        trace = forward_sequence(params, inputs)
-        loss = batch_loss(trace.y, targets, lengths)
-        runs.append((loss, backward(params, trace, targets, lengths=lengths).vector))
-    (loss, grad), (padded_loss, padded_grad) = runs
-    assert padded_loss == loss
-    assert max_norm_close(padded_grad, grad, 1e-12)
 
 
 def test_truncated_batch_matches_per_piece_chunks():
     lengths = (9, 6, 11)
-    params, pieces, inputs, targets = ragged_batch(8, lengths, ni=3, nb=4, no=3)
-    batched = backward(params, forward_sequence(params, inputs), targets,
-                       lengths=lengths, window=4)
+    params, pieces, inputs, targets, batch_sizes = ragged_batch(8, lengths, ni=3, nb=4, no=3)
+    trace = forward_sequence(params, inputs, batch_sizes)
+    batched = backward(params, trace, targets, window=4)
     expected = sum(per_step_reference(params, x, y, window=4)[1].vector for x, y in pieces)
     assert max_norm_close(batched.vector, expected, 1e-12)
-    full = backward(params, forward_sequence(params, inputs), targets, lengths=lengths)
+    full = backward(params, trace, targets)
     assert not max_norm_close(full.vector, expected, 1e-6)

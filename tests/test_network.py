@@ -8,6 +8,8 @@ from choralegen.network import (MAX_PARAMS, NetworkConfig, _lstm_cell,
                                 forward_sequence, init_params, mse_loss,
                                 param_count)
 
+from conftest import pack
+
 
 def small_config(**kw):
     defaults = dict(num_inputs=3, num_blocks=4, num_outputs=2, rng_seed=5,
@@ -110,14 +112,14 @@ def test_lstm_cell_matches_the_written_out_equations():
 
 
 def test_one_sequence_runs_the_same_as_a_stack_of_one():
-    # train passes one piece as a (T, 1, I) stack, which steps on (1, B)
-    # rows where the (T, I) sequence steps on 1-D rows. numpy runs both
-    # row products as the same GEMV, so every trace array has its bits.
+    # One sequence is a packed corpus of one piece, batch size 1 at every
+    # step: both step on (1, B) rows, so every trace array has the same bits.
     params = init_params(small_config(num_inputs=88, num_blocks=16, num_outputs=88))
     x = (np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (30, 88)) < 0.1).astype(float)
-    alone, stacked = forward_sequence(params, x), forward_sequence(params, x[:, None])
+    alone = forward_sequence(params, x)
+    packed = forward_sequence(params, x, np.ones(len(x), dtype=np.int64))
     for name in ("x", "gates", "cell_states", "block_outputs", "y"):
-        assert np.array_equal(getattr(stacked, name)[:, 0], getattr(alone, name)), name
+        assert np.array_equal(getattr(packed, name), getattr(alone, name)), name
 
 
 def test_gate_ranges():
@@ -163,31 +165,42 @@ def test_non_finite_input_reports_its_timestep():
 
 
 def test_batched_forward_matches_per_sequence():
-    # A ragged (T_max, N, I) stack, zero-padded at the end: every real row
-    # agrees with running its sequence alone.
+    # A ragged corpus packed longest first: every row agrees with running
+    # its sequence alone.
     params = init_params(small_config(num_inputs=88, num_blocks=32, num_outputs=88))
     rng = np.random.Generator(np.random.PCG64(3))
     seqs = [(rng.uniform(0, 1, (length, 88)) < 0.1).astype(float)
             for length in (17, 40, 1, 29, 33)]
-    stack = np.zeros((40, len(seqs), 88))
-    for n, seq in enumerate(seqs):
-        stack[: len(seq), n] = seq
-    batched = forward_sequence(params, stack)
-    assert batched.y.shape == (40, len(seqs), 88)
+    inputs, batch_sizes = pack(seqs)
+    owner, _ = pack([np.full(len(seq), n) for n, seq in enumerate(seqs)])
+    batched = forward_sequence(params, inputs, batch_sizes)
+    assert batched.y.shape == (sum(map(len, seqs)), 88)
     for n, seq in enumerate(seqs):
         alone = forward_sequence(params, seq)
         for name in ("gates", "cell_states", "block_outputs", "y"):
-            np.testing.assert_allclose(getattr(batched, name)[: len(seq), n],
+            np.testing.assert_allclose(getattr(batched, name)[owner == n],
                                        getattr(alone, name), rtol=0, atol=1e-12)
 
 
 def test_batched_non_finite_input_reports_its_timestep():
+    # Pieces of 7 and 5 steps: step 4 of piece 1 is packed row 9, and
+    # step 6 of piece 0, past the end of piece 1, is row 11.
     params = init_params(small_config())
-    inputs = np.zeros((6, 2, 3))
-    inputs[4, 1] = np.inf
-    with pytest.raises(NonFiniteActivation) as info:
-        forward_sequence(params, inputs)
-    assert info.value.timestep == 4
+    for piece, step in ((1, 4), (0, 6)):
+        seqs = [np.zeros((7, 3)), np.zeros((5, 3))]
+        seqs[piece][step] = np.inf
+        with pytest.raises(NonFiniteActivation) as info:
+            forward_sequence(params, *pack(seqs))
+        assert info.value.timestep == step
+
+
+@pytest.mark.parametrize("batch_sizes", [[3, 0, 3], [2, 2, 1], [1] * 7, [2, 3, 1], [],
+                                         [3.0, 2.0, 1.0], [[3, 2, 1]]])
+def test_bad_batch_sizes_raise_length_mismatch(batch_sizes):
+    # 6 rows: sizes must be positive integers, non-increasing, summing to 6.
+    params = init_params(small_config())
+    with pytest.raises(LengthMismatch):
+        forward_sequence(params, np.zeros((6, 3)), np.array(batch_sizes))
 
 
 def test_mse_identity():

@@ -12,10 +12,12 @@ from choralegen.errors import (EmptyAfterQuantization, EmptyCorpus,
                                MalformedMidi, TooLong, TooShort,
                                UnsupportedFormat)
 from choralegen.pianoroll import (MIN_PITCH, NUM_PITCHES, PianoRoll,
-                                  QuantizationSpec, frame_stack, load_corpus,
+                                  QuantizationSpec, frame_pack, load_corpus,
                                   load_roll, parse_pianoroll_text, quantize,
                                   render_midi)
 from choralegen.smf import NoteEvent, parse_midi, write_midi
+
+from conftest import pack
 
 SPEC = QuantizationSpec(ticks_per_step=240)
 
@@ -110,27 +112,39 @@ def test_quantize_empty_raises():
         quantize([], SPEC)
 
 
-def test_frame_stack_minimal():
+def test_frame_pack_minimal():
     frames = np.zeros((2, 88))
     frames[0, 5] = frames[1, 6] = 1.0
-    stack, _ = frame_stack([PianoRoll(frames)])
     roll = PianoRoll(frames)
-    assert np.array_equal(stack[:-1, 0], roll.frames[:1])
-    assert np.array_equal(stack[1:, 0], roll.frames[1:])
+    inputs, targets, batch_sizes, order = frame_pack([roll])
+    assert np.array_equal(inputs, roll.frames[:1])
+    assert np.array_equal(targets, roll.frames[1:])
+    assert batch_sizes.tolist() == [1] and order.tolist() == [0]
 
 
-def test_frame_stack_shift_property():
+def test_frame_pack_shift_property():
     rng = np.random.Generator(np.random.PCG64(7))
     roll = PianoRoll((rng.uniform(0, 1, (9, 88)) < 0.1).astype(float))
-    stack, lengths = frame_stack([roll])
-    inputs, targets = stack[:-1, 0], stack[1:, 0]
-    assert lengths == [len(roll) - 1] and len(inputs) == len(roll) - 1
+    inputs, targets, batch_sizes, _ = frame_pack([roll])
+    assert batch_sizes.tolist() == [1] * (len(roll) - 1) and len(inputs) == len(roll) - 1
     assert np.array_equal(targets[:-1], inputs[1:])
 
 
-def test_frame_stack_too_short():
+def test_frame_pack_too_short():
     with pytest.raises(TooShort):
-        frame_stack([PianoRoll(np.zeros((1, 88)))])
+        frame_pack([PianoRoll(np.zeros((1, 88)))])
+
+
+def test_frame_pack_sorts_longest_first_with_ties_in_corpus_order():
+    rng = np.random.Generator(np.random.PCG64(8))
+    rolls = [PianoRoll((rng.uniform(0, 1, (n, 88)) < 0.1).astype(float), source_id=str(k))
+             for k, n in enumerate((4, 9, 2, 9, 6, 4))]
+    inputs, targets, batch_sizes, order = frame_pack(rolls)
+    assert order.tolist() == [1, 3, 4, 0, 5, 2]
+    want_inputs, want_sizes = pack([r.frames[:-1] for r in rolls])
+    assert batch_sizes.tolist() == want_sizes.tolist() == [6, 5, 5, 3, 3, 2, 2, 2]
+    assert np.array_equal(inputs, want_inputs)
+    assert np.array_equal(targets, pack([r.frames[1:] for r in rolls])[0])
 
 
 def test_render_merges_consecutive_steps():

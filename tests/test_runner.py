@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,11 +12,15 @@ import pytest
 
 from choralegen.bptt import backward
 from choralegen.errors import EmptyCorpus, NonFiniteActivation, NonFiniteLoss
+from choralegen.metrics import evaluate
+from choralegen.model_io import serialize_model
 from choralegen.network import NetworkConfig, forward_sequence, init_params
 from choralegen.optim import GDConfig, RPropConfig, gd_step, rprop_init, rprop_step
 from choralegen.pianoroll import PianoRoll
 from choralegen.runner import (GenerationConfig, TrainConfig, format_history,
                                generate, reconstruct, train)
+
+from conftest import chorale_piece
 
 
 def constant_roll(num_frames=6):
@@ -83,6 +88,43 @@ def test_training_deterministic():
     pa, ma = run()
     pb, mb = run()
     assert np.array_equal(pa, pb) and ma == mb
+
+
+def test_corpus_order_changes_no_byte():
+    # Pieces of distinct lengths pack in one order whatever their order in
+    # the corpus; evaluate still lists them in the order it is given.
+    corpus = [chorale_piece(s, n) for s, n in zip(range(5), (9, 23, 4, 16, 30))]
+    runs = [train(rolls, init_params(NetworkConfig(num_blocks=8, rng_seed=2)), RPropConfig(),
+                  TrainConfig(max_epochs=5, target_mse=1e-9)) for rolls in (corpus, corpus[::-1])]
+    (params, history), (reversed_params, reversed_history) = runs
+    assert serialize_model(params) == serialize_model(reversed_params)
+    assert format_history(history) == format_history(reversed_history)
+    shuffled = [corpus[n] for n in (3, 0, 4, 2, 1)]
+    report = evaluate(params, shuffled, threshold=0.5)
+    assert report.pieces == [evaluate(params, [roll], threshold=0.5).pieces[0]
+                             for roll in shuffled]
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_short_pieces_cost_memory_for_their_own_frames_only():
+    # One 2048-frame piece and fifteen 2-frame pieces hold 15 frame pairs
+    # more than the long piece alone; padded to its length, the split
+    # would hold 16 times its frames (an epoch peak of 147 MB against 10).
+    long_piece = chorale_piece(0, 2048)
+    split = [long_piece] + [chorale_piece(s, 2) for s in range(1, 16)]
+    params = init_params(NetworkConfig(num_blocks=32, rng_seed=0))
+    one_epoch = lambda rolls: train(rolls, params, RPropConfig(),
+                                    TrainConfig(max_epochs=1, target_mse=1e-9))
+    for fn in (one_epoch, lambda rolls: evaluate(params, rolls)):
+        assert traced_peak(fn, split) <= 1.2 * traced_peak(fn, [long_piece])
 
 
 def test_truncation_window_trains():
