@@ -253,11 +253,3 @@ def forward_step(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """The prediction for one input from the zero state."""
     return forward_sequence(params, np.asarray(x)[None]).y[0]
 
-
-def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Mean squared error over all timestep x unit entries."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape:
-        raise LengthMismatch(f"{predictions.shape} vs {targets.shape}")
-    return float(np.mean((predictions - targets) ** 2))

@@ -16,8 +16,7 @@ import numpy as np
 from .bptt import backward
 from .errors import EmptyCorpus, NonFiniteActivation, NonFiniteGradient, NonFiniteLoss
 from .metrics import frame_accuracy
-from .network import (NetworkParams, _lstm_cell, _sigmoid_inplace,
-                      forward_sequence)
+from .network import NetworkParams, _lstm_cell, _sigmoid_inplace, forward_sequence
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
 from .pianoroll import MAX_STEPS, PianoRoll, frame_pack, frame_pairs
@@ -137,45 +136,42 @@ def generate(params: NetworkParams, seed_frames: np.ndarray,
     each prediction into a binary frame, append it, and feed it (or the
     raw probabilities) back.
 
-    The seed runs as one `forward_sequence`; each free-running step then
-    reuses preallocated buffers and one fused [w_x | w_h] @ [x; h] product.
-    Finiteness is checked once at the end: `NonFiniteActivation` names the
-    row of the roll whose input produced the first bad value.
+    One loop steps every row of the roll from the zero state, seed and
+    continuation alike, each with one fused [w_x | w_h] @ [x; h] product
+    into preallocated buffers. Finiteness is checked once at the end:
+    `NonFiniteActivation` names the row of the roll whose input produced
+    the first bad value.
     """
     seed_frames = np.asarray(seed_frames, dtype=np.float64)
-    if seed_frames.ndim != 2 or seed_frames.shape[0] < 1:
-        raise ValueError("seed must be a non-empty (S, 88) array")
-    steps = config.num_steps
-    seeded = forward_sequence(params, seed_frames)
     ni, nb = params.num_inputs, params.num_blocks
+    if seed_frames.ndim != 2 or not len(seed_frames) or seed_frames.shape[1] != ni:
+        raise ValueError("seed must be a non-empty (S, num_inputs) array")
     s = len(seed_frames)
-    rows = np.empty((s + steps, seed_frames.shape[1]))
+    rows = np.empty((s + config.num_steps, ni))
     rows[:s] = seed_frames
-    cells = np.empty((steps, nb))
-    ys = np.empty((steps, params.num_outputs))
+    cells = np.empty((len(rows), nb))
+    ys = np.empty((len(rows), params.num_outputs))
     w = np.hstack([params.w_x, params.w_h])
-    xh = np.empty(ni + nb)
-    h = xh[ni:]
-    h[...] = seeded.block_outputs[-1]
-    c, y = seeded.cell_states[-1], seeded.y[-1]
+    xh = np.zeros(ni + nb)
+    h, c = xh[ni:], np.zeros(nb)
     z = np.empty(4 * nb)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            frame = rows[s + k]
-            np.greater(y, config.threshold, out=frame)
-            if config.fallback == "top_k" and not np.count_nonzero(frame):
-                frame[np.argsort(y)[-config.top_k:]] = 1.0
-            xh[:ni] = frame if config.feedback == "binary" else y
+        for t, frame in enumerate(rows):
+            if t >= s:
+                np.greater(y, config.threshold, out=frame)
+                if config.fallback == "top_k" and not np.count_nonzero(frame):
+                    frame[np.argsort(y)[-config.top_k:]] = 1.0
+            xh[:ni] = y if t >= s and config.feedback == "raw" else frame
             np.matmul(w, xh, out=z)
             z += params.b
-            _lstm_cell(z, c, cells[k], h)
-            c, y = cells[k], ys[k]
+            _lstm_cell(z, c, cells[t], h)
+            c, y = cells[t], ys[t]
             np.matmul(params.w_out, h, out=y)
             y += params.b_out
             _sigmoid_inplace(y)
     finite = np.isfinite(cells).all(axis=1) & np.isfinite(ys).all(axis=1)
     if not finite.all():
-        raise NonFiniteActivation(s + int(np.argmin(finite)))
+        raise NonFiniteActivation(int(np.argmin(finite)))
     return PianoRoll(rows, source_id="generated")
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from choralegen.errors import LengthMismatch, NonFiniteActivation
 from choralegen.network import (MAX_PARAMS, NetworkConfig, _lstm_cell,
-                                forward_sequence, init_params, mse_loss,
-                                param_count)
+                                forward_sequence, init_params, param_count)
 
 from conftest import pack
 
@@ -202,23 +201,3 @@ def test_bad_batch_sizes_raise_length_mismatch(batch_sizes):
     with pytest.raises(LengthMismatch):
         forward_sequence(params, np.zeros((6, 3)), np.array(batch_sizes))
 
-
-def test_mse_identity():
-    t = np.ones((3, 88))
-    assert mse_loss(t, t) == 0.0
-
-
-def test_mse_half_vs_zero():
-    assert mse_loss(np.full((1, 88), 0.5), np.zeros((1, 88))) == 0.25
-
-
-def test_mse_single_wrong_unit():
-    pred = np.zeros((2, 88))
-    targ = np.zeros((2, 88))
-    targ[0, 3] = 1.0
-    assert mse_loss(pred, targ) == pytest.approx(1 / 176)
-
-
-def test_mse_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        mse_loss(np.zeros((2, 88)), np.zeros((3, 88)))

@@ -185,6 +185,12 @@ def test_generate_zero_steps_returns_seed():
     assert np.array_equal(out.frames, seed)
 
 
+@pytest.mark.parametrize("shape", [(0, 88), (3, 1), (3, 89), (88,)])
+def test_generate_rejects_a_seed_that_is_not_rows_of_the_input_width(shape):
+    with pytest.raises(ValueError, match="seed"):
+        generate(small_net(), np.zeros(shape), GenerationConfig(num_steps=0))
+
+
 def test_negative_counts_rejected():
     for bad in (dict(num_steps=-1), dict(seed_frames=0), dict(top_k=0), dict(top_k=-2)):
         with pytest.raises(ValueError):
@@ -233,6 +239,17 @@ def test_generate_reports_row_of_non_finite_step():
     with pytest.raises(NonFiniteActivation) as info:
         generate(params, seed, GenerationConfig(num_steps=4))
     assert info.value.timestep == 3
+
+
+def test_generate_reports_row_of_non_finite_seed():
+    # With zero weights, the inf in seed row 1 meets 0 in the input
+    # product: NaN in the step that row feeds, before any generated row.
+    params = init_params(NetworkConfig(num_blocks=8, init_scale=0.0))
+    seed = np.zeros((3, 88))
+    seed[1, 5] = np.inf
+    with pytest.raises(NonFiniteActivation) as info:
+        generate(params, seed, GenerationConfig(num_steps=4))
+    assert info.value.timestep == 1
 
 
 @pytest.mark.parametrize("mode", [dict(feedback="binary", threshold=0.8),
@@ -319,7 +336,7 @@ def ledger(threads=1, coretype=None) -> dict:
 
 def test_model_bytes_independent_of_blas_threads():
     # Every ledger entry: RProp and gradient-descent training, the fused-GEMV
-    # generation steps, MIDI rendering and the batched (T_max, N, 88)
+    # generation steps, MIDI rendering and the packed (sum of T_n, 88)
     # forward of evaluate on ragged splits.
     one = ledger()
     assert one and ledger(threads=2) == one
