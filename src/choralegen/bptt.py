@@ -22,14 +22,6 @@ def _blocked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray):
         out += a[r : r + BLOCK_ROWS].T @ b[r : r + BLOCK_ROWS]
 
 
-def _piece_lengths(runs) -> np.ndarray:
-    """Each packed sequence's length T_k, as float64, longest first."""
-    lengths = np.empty(runs[0][3])
-    for first, _, steps, a in runs:
-        lengths[:a] = first + steps
-    return lengths
-
-
 def _previous_rows(values: np.ndarray, runs) -> list[np.ndarray]:
     """Row blocks that concatenate to each packed row's predecessor, the
     same sequence's row one step earlier (zero at step 0): at most two
@@ -67,10 +59,12 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     # loss_scale * 2 (y - t) / (T_n * outputs) * y (1 - y), left to right.
     dz_y = np.subtract(y, targets)
     dz_y *= loss_scale * 2.0
-    per_piece = _piece_lengths(runs) * params.num_outputs
+    per_piece = np.empty((runs[0][3], 1))  # T_k * outputs, longest sequence first
+    for first, _, steps, a in runs:
+        per_piece[:a] = (first + steps) * params.num_outputs
     for _, row, steps, a in runs:
         run = dz_y[row : row + steps * a].reshape(steps, a, -1)
-        run /= per_piece[:a, None]
+        run /= per_piece[:a]
     dz_y *= y
     dz_y *= 1.0 - y
     _blocked_product(dz_y, outputs, grads.w_out)
@@ -143,25 +137,20 @@ def add_into(total: NetworkParams, extra: NetworkParams) -> NetworkParams:
 
 
 def finite_diff_gradient(params: NetworkParams, inputs: np.ndarray,
-                         targets: np.ndarray, h: float = 1e-5,
-                         batch_sizes=None) -> NetworkParams:
-    """Central difference (E(w+h) - E(w-h)) / 2h per parameter, of the loss
-    `backward` differentiates: the sum over sequences of each one's MSE,
-    for one sequence or a packed corpus (`batch_sizes`, as for
-    `forward_sequence`).
+                         targets: np.ndarray, h: float = 1e-5) -> NetworkParams:
+    """Central difference (E(w+h) - E(w-h)) / 2h per parameter of one
+    sequence's MSE, the loss `backward` differentiates for it. A packed
+    corpus's gradient is the sum of its pieces' gradients.
 
     Quadratic cost in parameter count; meant for small test networks.
     """
     if h <= 0:
         raise ValueError("h must be > 0")
     targets = np.asarray(targets, dtype=np.float64)
-    runs = packed_runs(batch_sizes, len(inputs))
-    lengths = _piece_lengths(runs)
-    weight = np.concatenate([np.tile(1.0 / lengths[:a], steps) for _, _, steps, a in runs])
 
     def loss(flat):
-        y = forward_sequence(params.with_flat(flat), inputs, batch_sizes).y
-        return float(weight @ np.mean((y - targets) ** 2, axis=1))
+        y = forward_sequence(params.with_flat(flat), inputs).y
+        return float(np.mean((y - targets) ** 2))
 
     base = params.flatten()
     grad = np.zeros_like(base)

@@ -33,8 +33,9 @@ def _count(predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"{predicted.shape} vs {target.shape}")
     pred_on = predicted > 0.5
     targ_on = target > 0.5
-    return np.array([np.sum(pred_on & targ_on), np.sum(pred_on & ~targ_on),
-                     np.sum(~pred_on & targ_on)], dtype=np.int64)
+    tp = np.count_nonzero(pred_on & targ_on)
+    return np.array([tp, np.count_nonzero(pred_on) - tp, np.count_nonzero(targ_on) - tp],
+                    dtype=np.int64)
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -79,13 +80,9 @@ def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
     """
     if not test_rolls:
         raise EmptyCorpus("empty test split")
-    inputs, targets, batch_sizes, order = frame_pack(test_rolls)
+    inputs, targets, batch_sizes, rows = frame_pack(test_rolls)
     hits = forward_sequence(params, inputs, batch_sizes).y > threshold
-    starts = np.cumsum(batch_sizes) - batch_sizes  # each step's first row
-    counts = np.empty((len(test_rolls), 3), dtype=np.int64)
-    for k, n in enumerate(order.tolist()):
-        rows = starts[batch_sizes > k] + k  # the k-th packed piece's rows
-        counts[n] = _count(hits[rows], targets[rows])
+    counts = np.array([_count(hits[r], targets[r]) for r in rows])
     pieces = [PieceScore(roll.source_id, *_prf(*c.tolist()))
               for roll, c in zip(test_rolls, counts)]
     return EvalReport(pieces, float(np.mean([s.f1 for s in pieces])),

@@ -76,15 +76,15 @@ def frame_pairs(roll: PianoRoll) -> int:
     return len(roll) - 1
 
 
-def frame_pack(rolls: list[PianoRoll]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def frame_pack(rolls: list[PianoRoll]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """The rolls' next-frame pairs packed by length, as `forward_sequence`
-    and `backward` take them: (inputs, targets, batch_sizes, order).
+    and `backward` take them: (inputs, targets, batch_sizes, rows).
 
-    The rolls are sorted longest first, ties in corpus order; `order[k]`
-    is the corpus index of the k-th. Inputs and targets are (ΣT_n, 88),
-    T_n being roll n's `frame_pairs`: step t holds one row for each roll
-    still running, `batch_sizes[t]` = #{n : T_n > t} of them in sorted
-    order, and the steps follow in time order.
+    Inputs and targets are (ΣT_n, 88), T_n being roll n's `frame_pairs`.
+    The rolls are sorted longest first, ties in corpus order: step t holds
+    one row for each roll still running, `batch_sizes[t]` = #{n : T_n > t}
+    of them in sorted order, and the steps follow in time order.
+    `rows[n]` is the packed row of each of roll n's pairs, in time order.
     """
     lengths = np.array([frame_pairs(roll) for roll in rolls], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
@@ -92,10 +92,11 @@ def frame_pack(rolls: list[PianoRoll]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     starts = np.cumsum(batch_sizes) - batch_sizes  # each step's first row
     inputs = np.empty((lengths.sum(), NUM_PITCHES))
     targets = np.empty_like(inputs)
+    rows = [None] * len(rolls)
     for k, n in enumerate(order.tolist()):
-        rows = starts[: lengths[n]] + k
-        inputs[rows], targets[rows] = rolls[n].frames[:-1], rolls[n].frames[1:]
-    return inputs, targets, batch_sizes, order
+        rows[n] = starts[: lengths[n]] + k
+        inputs[rows[n]], targets[rows[n]] = rolls[n].frames[:-1], rolls[n].frames[1:]
+    return inputs, targets, batch_sizes, rows
 
 
 def quantize(events: list[NoteEvent], spec: QuantizationSpec,

@@ -88,7 +88,7 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
     """
     if not rolls:
         raise EmptyCorpus("no training sequences")
-    inputs, targets, batch_sizes, _ = frame_pack(rolls)
+    inputs, targets, batch_sizes = frame_pack(rolls)[:3]
 
     rprop_state: RPropState | None = None
     if isinstance(optimizer_config, RPropConfig):

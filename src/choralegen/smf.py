@@ -191,9 +191,9 @@ def parse_midi(data: bytes) -> tuple[list[NoteEvent], int]:
     return checked_notes(notes), division
 
 
-# A delta time takes one more VLQ byte at each of these: 2^7, 2^14, 2^21.
-# SMF allows at most 4 bytes, so a delta must stay below 2^28 ticks.
-_VLQ_STEPS = 1 << np.arange(7, 28, 7, dtype=np.int64)
+# A delta time's VLQ is at most four 7-bit groups, at these shifts, most
+# significant first; SMF allows no more, so a delta must stay below 2^28.
+_VLQ_SHIFTS = np.arange(21, -1, -7)
 _TEMPO = bytes([0x00, 0xFF, 0x51, 0x03]) + WRITE_TEMPO_US.to_bytes(3, "big")
 _END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])
 
@@ -216,20 +216,18 @@ def write_midi(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
     if delta.max(initial=0) >= 1 << 28:
         raise TooLong(f"a gap of {int(delta.max())} ticks between MIDI events "
                       "reaches 2^28, past SMF's 4-byte delta time")
-    width = np.searchsorted(_VLQ_STEPS, delta, side="right") + 1
 
-    # Row k is message k's bytes: its delta's VLQ, most significant group
-    # first, in the first width[k] of `cols` columns, then status, key and
-    # velocity. The unused VLQ columns are dropped as the rows are joined.
-    cols = int(width.max(initial=1))
-    shift = 7 * (width[:, None] - 1 - np.arange(cols))
-    rows = np.empty((tick.size, cols + 3), np.uint8)
-    rows[:, :cols] = (delta[:, None] >> shift.clip(0)) & 0x7F | (shift > 0) * 0x80
-    rows[:, cols] = np.where(is_on, 0x90, 0x80)
-    rows[:, cols + 1] = pitch
-    rows[:, cols + 2] = np.where(is_on, WRITE_VELOCITY, 0x40)
+    # Row k is message k's bytes: its delta's four VLQ groups, then status,
+    # key and velocity. A leading group is written only when it or a group
+    # before it is nonzero, the last group always.
+    groups = delta[:, None] >> _VLQ_SHIFTS
+    rows = np.empty((tick.size, 7), np.uint8)
+    rows[:, :4] = groups & 0x7F | (_VLQ_SHIFTS > 0) * 0x80
+    rows[:, 4] = np.where(is_on, 0x90, 0x80)
+    rows[:, 5] = pitch
+    rows[:, 6] = np.where(is_on, WRITE_VELOCITY, 0x40)
     used = np.ones(rows.shape, bool)
-    used[:, :cols] = shift >= 0
+    used[:, :3] = groups[:, :3] > 0
     body = rows[used].tobytes()
 
     length = len(_TEMPO) + len(body) + len(_END_OF_TRACK)

@@ -116,10 +116,10 @@ def test_frame_pack_minimal():
     frames = np.zeros((2, 88))
     frames[0, 5] = frames[1, 6] = 1.0
     roll = PianoRoll(frames)
-    inputs, targets, batch_sizes, order = frame_pack([roll])
+    inputs, targets, batch_sizes, rows = frame_pack([roll])
     assert np.array_equal(inputs, roll.frames[:1])
     assert np.array_equal(targets, roll.frames[1:])
-    assert batch_sizes.tolist() == [1] and order.tolist() == [0]
+    assert batch_sizes.tolist() == [1] and [r.tolist() for r in rows] == [[0]]
 
 
 def test_frame_pack_shift_property():
@@ -139,8 +139,12 @@ def test_frame_pack_sorts_longest_first_with_ties_in_corpus_order():
     rng = np.random.Generator(np.random.PCG64(8))
     rolls = [PianoRoll((rng.uniform(0, 1, (n, 88)) < 0.1).astype(float), source_id=str(k))
              for k, n in enumerate((4, 9, 2, 9, 6, 4))]
-    inputs, targets, batch_sizes, order = frame_pack(rolls)
-    assert order.tolist() == [1, 3, 4, 0, 5, 2]
+    inputs, targets, batch_sizes, rows = frame_pack(rolls)
+    assert [r[0] for r in rows] == [3, 0, 5, 1, 2, 4]
+    for roll, r in zip(rolls, rows):
+        assert np.array_equal(inputs[r], roll.frames[:-1])
+        assert np.array_equal(targets[r], roll.frames[1:])
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(len(inputs)))
     want_inputs, want_sizes = pack([r.frames[:-1] for r in rolls])
     assert batch_sizes.tolist() == want_sizes.tolist() == [6, 5, 5, 3, 3, 2, 2, 2]
     assert np.array_equal(inputs, want_inputs)
