@@ -75,14 +75,15 @@ def evaluate(params: NetworkParams, test_rolls: list[PianoRoll],
     """Teacher-forced one-step-ahead scoring: each input frame is ground
     truth, the thresholded prediction is scored against the next frame.
 
-    The pieces run packed by `frame_pack`, one row per real frame pair;
-    the report lists them in the caller's order.
+    The pieces run packed by `frame_pack`, one row per real frame pair, and
+    are scored on their own frames, listed in the caller's order.
     """
     if not test_rolls:
         raise EmptyCorpus("empty test split")
     inputs, targets, batch_sizes, rows = frame_pack(test_rolls)
+    del targets  # ragged, a frame array as large as the inputs, and not needed
     hits = forward_sequence(params, inputs, batch_sizes).y > threshold
-    counts = np.array([_count(hits[r], targets[r]) for r in rows])
+    counts = np.array([_count(hits[r], roll.frames[1:]) for roll, r in zip(test_rolls, rows)])
     pieces = [PieceScore(roll.source_id, *_prf(*c.tolist()))
               for roll, c in zip(test_rolls, counts)]
     return EvalReport(pieces, float(np.mean([s.f1 for s in pieces])),

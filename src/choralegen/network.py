@@ -29,6 +29,9 @@ PARAM_FIELDS = (
 # Bounds the allocation a config file or model header can ask for.
 MAX_PARAMS = 1 << 24
 
+# A ufunc call takes a 0-d array operand faster than a Python float.
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -125,38 +128,44 @@ def init_params(config: NetworkConfig) -> NetworkParams:
     return params
 
 
-def _sigmoid_inplace(a: np.ndarray):
-    """1/(1+exp(-a)) written into `a`. exp(-a) overflows to inf for
-    a < -709, which correctly gives 0; the caller ignores that overflow."""
-    np.negative(a, out=a)
+def _sigmoid_of_negated(a: np.ndarray):
+    """1/(1+exp(-x)) written into `a`, which holds -x, made exactly from the
+    negated weights and bias. exp(-x) overflows to inf for x < -709, which
+    correctly gives 0; the caller ignores that overflow."""
     np.exp(a, out=a)
-    a += 1.0
-    np.divide(1.0, a, out=a)
+    a += _ONE
+    np.divide(_ONE, a, out=a)
 
 
-def _lstm_cell(z: np.ndarray, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray):
+def gate_views(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The views `_lstm_cell` takes of gate array z (..., 4B): z, its sigmoid
+    block, then o, i, f and g. Zip those of a (steps, ..., 4B) array to step."""
+    nb = z.shape[-1] // 4
+    return (z, z[..., : 3 * nb], *(z[..., k * nb : (k + 1) * nb] for k in range(4)))
+
+
+def _lstm_cell(views: tuple, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray):
     """One timestep of the LSTM equations, the only copy of them.
 
-    `z` holds the gate pre-activations (..., 4B) in the order o, i, f, c
-    and is overwritten with the activations: sigmoid o, i, f and tanh cell
-    input. The new cell state f*c + i*g goes to `c_out` and the block
+    `views` are the `gate_views` of the gate pre-activations z (..., 4B),
+    which is overwritten with the activations: sigmoid o, i, f and tanh
+    cell input. The new cell state f*c + i*g goes to `c_out` and the block
     output o*tanh(c_out) to `h_out`. The caller ignores overflow.
 
     One tanh covers all four gates, the sigmoid ones as
     1/(1+exp(-a)) = 1/2 + tanh(a/2)/2. Halving is exact, so +-inf and NaN
     map as the logistic maps them; the result is within 2.2e-16 of it.
     """
-    nb = c_out.shape[-1]
-    sig = z[..., : 3 * nb]
-    sig *= 0.5
+    z, sig, o, i, f, g = views
+    sig *= _HALF
     np.tanh(z, out=z)
-    sig *= 0.5
-    sig += 0.5
-    np.multiply(z[..., 2 * nb : 3 * nb], c, out=c_out)
-    np.multiply(z[..., nb : 2 * nb], z[..., 3 * nb :], out=h_out)  # i*g, h_out as scratch
+    sig *= _HALF
+    sig += _HALF
+    np.multiply(f, c, out=c_out)
+    np.multiply(i, g, out=h_out)  # h_out as scratch
     c_out += h_out
     np.tanh(c_out, out=h_out)
-    h_out *= z[..., :nb]
+    h_out *= o
 
 
 @dataclass
@@ -230,15 +239,16 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray,
         for _, row, steps, a in runs:
             c, h, tmp = c[:a], h[:a], scratch[:a]
             span = slice(row, row + steps * a)
-            for z, c_out, h_out in zip(*(v[span].reshape(steps, a, -1)
-                                         for v in (gates, cells, outputs))):
+            z_run, c_run, h_run = (v[span].reshape(steps, a, -1) for v in (gates, cells, outputs))
+            for views, c_out, h_out in zip(zip(*gate_views(z_run)), c_run, h_run):
+                z = views[0]
                 np.dot(h, w_hT, out=tmp)
                 z += tmp
-                _lstm_cell(z, c, c_out, h_out)
+                _lstm_cell(views, c, c_out, h_out)
                 c, h = c_out, h_out
-        y = outputs @ params.w_out.T
-        y += params.b_out
-        _sigmoid_inplace(y)
+        y = outputs @ (-params.w_out).T
+        y -= params.b_out
+        _sigmoid_of_negated(y)
     finite = np.isfinite(cells).all(axis=1) & np.isfinite(y).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))

@@ -65,15 +65,17 @@ def rprop_step(params: NetworkParams, grads: NetworkParams, state: RPropState,
     gradient leaves both weight and step untouched."""
     params.check_congruent(grads)
     sign = np.sign(grads.vector)
-    agree = (state.prev_grad_sign * sign).astype(np.intp)  # -1 flip, 0 none, +1 repeat
-    factor = np.array([config.eta_minus, 1.0, config.eta_plus])[agree + 1]
-    delta = np.clip(state.step_sizes * factor, config.delta_min, config.delta_max)
+    agree = np.multiply(state.prev_grad_sign, sign)  # -1 flip, 0 none, +1 repeat
+    # The factor by agree, -1 reading the last entry.
+    delta = np.array([1.0, config.eta_plus, config.eta_minus])[agree.astype(np.intp)]
+    delta *= state.step_sizes
+    np.clip(delta, config.delta_min, config.delta_max, out=delta)
     w = params.vector.copy()
     if config.variant == "with_backtracking":
         flipped = agree < 0  # undo the last move, -step_sizes * prev_grad_sign
         np.add(w, state.step_sizes * state.prev_grad_sign, out=w, where=flipped)
         np.copyto(sign, 0.0, where=flipped)  # skip the next adaptation
-    w -= delta * sign
+    w -= np.multiply(delta, sign, out=agree)
     return params.with_flat(w), RPropState(delta, sign)
 
 

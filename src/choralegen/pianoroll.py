@@ -85,17 +85,23 @@ def frame_pack(rolls: list[PianoRoll]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     one row for each roll still running, `batch_sizes[t]` = #{n : T_n > t}
     of them in sorted order, and the steps follow in time order.
     `rows[n]` is the packed row of each of roll n's pairs, in time order.
+    Rolls of one length give two views of one copy of the frames, N rows
+    apart (one roll: its [:-1] and [1:]); nothing writes `ForwardTrace.x`.
     """
     lengths = np.array([frame_pairs(roll) for roll in rolls], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     batch_sizes = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
     starts = np.cumsum(batch_sizes) - batch_sizes  # each step's first row
-    inputs = np.empty((lengths.sum(), NUM_PITCHES))
-    targets = np.empty_like(inputs)
     rows = [None] * len(rolls)
     for k, n in enumerate(order.tolist()):
         rows[n] = starts[: lengths[n]] + k
-        inputs[rows[n]], targets[rows[n]] = rolls[n].frames[:-1], rolls[n].frames[1:]
+    if (lengths == lengths[0]).all():
+        frames = np.stack([roll.frames for roll in rolls], axis=1).reshape(-1, NUM_PITCHES)
+        return frames[: -len(rolls)], frames[len(rolls) :], batch_sizes, rows
+    inputs = np.empty((lengths.sum(), NUM_PITCHES))
+    targets = np.empty_like(inputs)
+    for roll, r in zip(rolls, rows):
+        inputs[r], targets[r] = roll.frames[:-1], roll.frames[1:]
     return inputs, targets, batch_sizes, rows
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .bptt import backward
 from .errors import EmptyCorpus, NonFiniteActivation, NonFiniteGradient, NonFiniteLoss
 from .metrics import frame_accuracy
-from .network import NetworkParams, _lstm_cell, _sigmoid_inplace, forward_sequence
+from .network import NetworkParams, _lstm_cell, _sigmoid_of_negated, forward_sequence, gate_views
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
 from .pianoroll import MAX_STEPS, PianoRoll, frame_pack, frame_pairs
@@ -139,36 +139,41 @@ def generate(params: NetworkParams, seed_frames: np.ndarray,
     One loop steps every row of the roll from the zero state, seed and
     continuation alike, each with one fused [w_x | w_h] @ [x; h] product
     into preallocated buffers. Finiteness is checked once at the end:
-    `NonFiniteActivation` names the row of the roll whose input produced
-    the first bad value.
+    `NonFiniteActivation` names the row whose input made the first bad value.
     """
     seed_frames = np.asarray(seed_frames, dtype=np.float64)
     ni, nb = params.num_inputs, params.num_blocks
     if seed_frames.ndim != 2 or not len(seed_frames) or seed_frames.shape[1] != ni:
         raise ValueError("seed must be a non-empty (S, num_inputs) array")
     s = len(seed_frames)
+    if s + config.num_steps > MAX_STEPS:  # as GenerationConfig bounds seed_frames
+        raise ValueError(f"seed ({s}) + num_steps ({config.num_steps}) > MAX_STEPS ({MAX_STEPS})")
     rows = np.empty((s + config.num_steps, ni))
     rows[:s] = seed_frames
-    cells = np.empty((len(rows), nb))
-    ys = np.empty((len(rows), params.num_outputs))
-    w = np.hstack([params.w_x, params.w_h])
+    cells, ys = np.empty((len(rows), nb)), np.empty((len(rows), params.num_outputs))
+    w, b = np.hstack([params.w_x, params.w_h]), params.b
+    w_out, b_out = -params.w_out, params.b_out  # y holds -x until the sigmoid
+    threshold, raw, hits = np.array(config.threshold), config.feedback == "raw", np.empty(ni, bool)
+    top_k = config.top_k if config.fallback == "top_k" else 0
     xh = np.zeros(ni + nb)
-    h, c = xh[ni:], np.zeros(nb)
+    x, h, c = xh[:ni], xh[ni:], np.zeros(nb)
     z = np.empty(4 * nb)
+    views = gate_views(z)
     with np.errstate(over="ignore", invalid="ignore"):
         for t, frame in enumerate(rows):
             if t >= s:
-                np.greater(y, config.threshold, out=frame)
-                if config.fallback == "top_k" and not np.count_nonzero(frame):
-                    frame[np.argsort(y)[-config.top_k:]] = 1.0
-            xh[:ni] = y if t >= s and config.feedback == "raw" else frame
-            np.matmul(w, xh, out=z)
-            z += params.b
-            _lstm_cell(z, c, cells[t], h)
+                np.greater(y, threshold, out=hits)
+                frame[...] = hits
+                if top_k and not np.count_nonzero(hits):
+                    frame[np.argsort(y)[-top_k:]] = 1.0
+            x[...] = y if raw and t >= s else frame
+            np.dot(w, xh, out=z)
+            z += b
+            _lstm_cell(views, c, cells[t], h)
             c, y = cells[t], ys[t]
-            np.matmul(params.w_out, h, out=y)
-            y += params.b_out
-            _sigmoid_inplace(y)
+            np.dot(w_out, h, out=y)
+            y -= b_out
+            _sigmoid_of_negated(y)
     finite = np.isfinite(cells).all(axis=1) & np.isfinite(ys).all(axis=1)
     if not finite.all():
         raise NonFiniteActivation(int(np.argmin(finite)))

@@ -76,10 +76,10 @@ def ragged40(out: dict):
 
 
 def wide_and_long(out: dict):
-    """A 64-block RProp model with a top-k generation and a ragged
-    evaluation at threshold 0.5, and gradient descent past one 128-row
-    block: on one 400-frame piece, and on four pieces of 64 to 203 frames,
-    510 packed rows."""
+    """A 64-block RProp model with a top-k and a raw-feedback generation
+    and a ragged evaluation at threshold 0.5, and gradient descent past
+    one 128-row block: on one 400-frame piece, and on four pieces of 64
+    to 203 frames, 510 packed rows."""
     params, _ = train([chorale_piece(s) for s in range(6)],
                       init_params(NetworkConfig(num_blocks=64, rng_seed=0)),
                       RPropConfig(delta_max=0.1), TrainConfig(max_epochs=15, target_mse=1e-9))
@@ -88,6 +88,9 @@ def wide_and_long(out: dict):
                     GenerationConfig(threshold=0.5, num_steps=48, fallback="top_k"))
     out["rprop64.model"] = sha256(serialize_model(params))
     out["rprop64.generate_top_k"] = sha256(roll.frames.tobytes())
+    roll = generate(params, held_out[1].frames[:2],
+                    GenerationConfig(threshold=0.5, num_steps=48, feedback="raw"))
+    out["rprop64.generate_raw"] = sha256(roll.frames.tobytes())
     out["rprop64.evaluate"] = sha256(repr(evaluate(params, held_out, threshold=0.5)).encode())
     corpora = {"gd_long": [chorale_piece(11, 400)],
                "gd_ragged": [chorale_piece(s, n) for s, n in zip(range(12, 16),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from choralegen.errors import LengthMismatch, NonFiniteActivation
-from choralegen.network import (MAX_PARAMS, NetworkConfig, _lstm_cell,
-                                forward_sequence, init_params, param_count)
+from choralegen.network import (MAX_PARAMS, NetworkConfig, _lstm_cell, _sigmoid_of_negated,
+                                forward_sequence, gate_views, init_params, param_count)
 
 from conftest import pack
 
@@ -76,7 +76,7 @@ def test_cell_decay_closed_form():
     for t in range(1, 4):
         z = params.w_x @ np.zeros(3) + params.w_h @ h + params.b
         c_next = np.empty(4)
-        _lstm_cell(z, c, c_next, h)
+        _lstm_cell(gate_views(z), c, c_next, h)
         c = c_next
         assert np.allclose(c, decay ** t * c0, rtol=1e-12)
 
@@ -94,7 +94,7 @@ def test_lstm_cell_matches_the_written_out_equations():
     c_prev = rng.uniform(-3.0, 3.0, o.size)
     z = np.concatenate([o, i, f, g])
     c, h = np.empty(o.size), np.empty(o.size)
-    _lstm_cell(z, c_prev, c, h)
+    _lstm_cell(gate_views(z), c_prev, c, h)
 
     with np.errstate(over="ignore"):
         logistic = lambda a: 1.0 / (1.0 + np.exp(-a))
@@ -108,6 +108,27 @@ def test_lstm_cell_matches_the_written_out_equations():
     nan_ifg = np.isnan(i) | np.isnan(f) | np.isnan(g)
     assert np.array_equal(np.isnan(c), nan_ifg)
     assert np.array_equal(np.isnan(h), nan_ifg | np.isnan(o))
+
+
+def test_gate_views_split_the_last_axis_in_o_i_f_g_order():
+    z = np.arange(2 * 3 * 8.0).reshape(2, 3, 8)
+    views = gate_views(z)
+    assert views[0] is z and np.array_equal(views[1], z[..., :6])
+    for k, view in enumerate(views[2:]):
+        assert np.shares_memory(view, z) and np.array_equal(view, z[..., 2 * k : 2 * k + 2])
+    for step, per_step in zip(z, zip(*views)):  # zipped, a step's views of a 3-D array
+        assert all(np.array_equal(v, w) for v, w in zip(per_step, gate_views(step)))
+
+
+def test_sigmoid_of_negated_input_is_the_logistic_bit_for_bit():
+    a = np.concatenate([[-np.inf, np.inf, np.nan, -800.0, 800.0, -40.0, 40.0, 0.0],
+                        np.linspace(-50.0, 50.0, 40001)])
+    got = -a
+    with np.errstate(over="ignore"):
+        _sigmoid_of_negated(got)
+        want = 1.0 / (1.0 + np.exp(-a))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[0] == 0.0 and got[1] == 1.0 and np.isnan(got[2])
 
 
 def test_one_sequence_runs_the_same_as_a_stack_of_one():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -244,3 +246,21 @@ def test_rprop_step_leaves_its_inputs_unchanged(variant):
     before = [a.tobytes() for a in inputs]
     rprop_step(params, params.with_flat(grads[1]), state, config)
     assert [a.tobytes() for a in inputs] == before
+
+
+@pytest.mark.parametrize("variant, vectors", [("plain", 4.2), ("with_backtracking", 5.3)])
+def test_rprop_step_peak_memory_in_parameter_vectors(variant, vectors):
+    # The update returns three vectors (weights, steps, signs) and works in
+    # one more, plus bool masks; backtracking adds the undone move.
+    config = RPropConfig(variant=variant)
+    params = init_params(NetworkConfig(num_blocks=64))
+    first, second = mixed_gradients(3, params.size(), 2)
+    _, state = rprop_step(params, params.with_flat(first), rprop_init(params, config), config)
+    grads = params.with_flat(second)
+    tracemalloc.start()
+    try:
+        rprop_step(params, grads, state, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vectors * params.vector.nbytes

@@ -149,6 +149,21 @@ def test_frame_pack_sorts_longest_first_with_ties_in_corpus_order():
     assert batch_sizes.tolist() == want_sizes.tolist() == [6, 5, 5, 3, 3, 2, 2, 2]
     assert np.array_equal(inputs, want_inputs)
     assert np.array_equal(targets, pack([r.frames[1:] for r in rolls])[0])
+    assert not np.shares_memory(inputs, targets)
+
+
+@pytest.mark.parametrize("lengths", [(9,), (7, 7, 7)])
+def test_frame_pack_of_equal_lengths_makes_two_views_of_one_copy(lengths):
+    rng = np.random.Generator(np.random.PCG64(9))
+    rolls = [PianoRoll((rng.uniform(0, 1, (n, 88)) < 0.1).astype(float)) for n in lengths]
+    inputs, targets, batch_sizes, rows = frame_pack(rolls)
+    assert np.shares_memory(inputs, targets)
+    assert not any(np.shares_memory(inputs, roll.frames) for roll in rolls)
+    assert np.array_equal(inputs, pack([r.frames[:-1] for r in rolls])[0])
+    assert np.array_equal(targets, pack([r.frames[1:] for r in rolls])[0])
+    assert batch_sizes.tolist() == [len(rolls)] * (lengths[0] - 1)
+    for roll, r in zip(rolls, rows):
+        assert np.array_equal(targets[r], roll.frames[1:])
 
 
 def test_render_merges_consecutive_steps():

@@ -16,7 +16,7 @@ from choralegen.metrics import evaluate
 from choralegen.model_io import serialize_model
 from choralegen.network import NetworkConfig, forward_sequence, init_params
 from choralegen.optim import GDConfig, RPropConfig, gd_step, rprop_init, rprop_step
-from choralegen.pianoroll import PianoRoll
+from choralegen.pianoroll import MAX_STEPS, PianoRoll
 from choralegen.runner import (GenerationConfig, TrainConfig, format_history,
                                generate, reconstruct, train)
 
@@ -127,6 +127,15 @@ def test_short_pieces_cost_memory_for_their_own_frames_only():
         assert traced_peak(fn, split) <= 1.2 * traced_peak(fn, [long_piece])
 
 
+def test_one_piece_trains_on_one_copy_of_its_frames():
+    # Its inputs and targets are two views of one frame array (1.4 MB here):
+    # as two arrays, one epoch of this piece peaked at 11.3 MB.
+    params = init_params(NetworkConfig(num_blocks=32, rng_seed=0))
+    one_epoch = lambda rolls: train(rolls, params, RPropConfig(),
+                                    TrainConfig(max_epochs=1, target_mse=1e-9))
+    assert traced_peak(one_epoch, [chorale_piece(0, 2048)]) <= 10.4e6
+
+
 def test_truncation_window_trains():
     params, history = train([alternating_roll(16)], small_net(), RPropConfig(),
                             TrainConfig(max_epochs=60, target_mse=0.005,
@@ -189,6 +198,19 @@ def test_generate_zero_steps_returns_seed():
 def test_generate_rejects_a_seed_that_is_not_rows_of_the_input_width(shape):
     with pytest.raises(ValueError, match="seed"):
         generate(small_net(), np.zeros(shape), GenerationConfig(num_steps=0))
+
+
+def test_generate_rejects_a_seed_too_long_to_read_back():
+    # GenerationConfig bounds seed_frames + num_steps; a longer seed array
+    # is refused before the roll is allocated (the seed is a broadcast view).
+    seed = np.broadcast_to(np.zeros(88), (MAX_STEPS, 88))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            generate(small_net(), seed, GenerationConfig(num_steps=1))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_negative_counts_rejected():
