@@ -10,12 +10,11 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from .errors import EmptyAfterQuantization, EmptyCorpus, Error, TooLong, TooShort
-from .smf import NoteEvent, checked_notes, note_array, parse_midi, write_midi
+from .smf import NoteEvent, note_array, parse_midi, write_messages
 
 NUM_PITCHES = 88
 MIN_PITCH = 21  # A0
@@ -46,6 +45,8 @@ class QuantizationSpec:
     def for_ppq(cls, ppq: int, step_fraction: float = DEFAULT_STEP_FRACTION):
         """Spec for `step_fraction` quarter notes of a file with this PPQ, in
         whole ticks; it records the step length those ticks really are."""
+        if ppq < 1:
+            raise ValueError("ppq must be >= 1")
         ticks = max(1, round(ppq * step_fraction))
         return cls(ticks, ticks / ppq)
 
@@ -129,12 +130,12 @@ def quantize(events: list[NoteEvent], spec: QuantizationSpec,
                       f"MAX_STEPS = {MAX_STEPS}")
     col = pitch - MIN_PITCH
     col = np.clip(col, col % 12, NUM_PITCHES - 1 - (NUM_PITCHES - 1 - col) % 12)
-    # +1 where a note starts, -1 where it ends; a cell sounds while the
-    # running sum down its column is positive (overlaps merge).
-    size = (num_steps + 1) * NUM_PITCHES
-    marks = np.bincount(start * NUM_PITCHES + col, minlength=size)
-    marks -= np.bincount(end * NUM_PITCHES + col, minlength=size)
-    frames = marks.reshape(num_steps + 1, NUM_PITCHES)[:-1].cumsum(axis=0) > 0
+    # +1.0 where a note starts, -1.0 where it ends; a cell sounds while the
+    # exact running sum down its column is positive (overlaps merge).
+    marks = np.bincount(np.concatenate([start, end]) * NUM_PITCHES + np.concatenate([col, col]),
+                        np.repeat([1.0, -1.0], col.size), (num_steps + 1) * NUM_PITCHES)
+    frames = marks.reshape(num_steps + 1, NUM_PITCHES)[:-1]
+    np.minimum(frames.cumsum(axis=0, out=frames), 1.0, out=frames)
     return PianoRoll(frames, source_id)
 
 
@@ -150,18 +151,17 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     if len(roll) * tps >= 1 << 63:
         raise TooLong(f"{roll.source_id or 'roll'}: {len(roll)} steps of {tps} "
                       "ticks pass 2^63 ticks")
-    # Rows of `edges` are pitches; +1 marks a note's first step, -1 the
-    # step after its last, so the flat nonzero indices alternate start, end.
-    edges = np.diff(np.pad(roll.frames.T, ((0, 0), (1, 1))))
-    first, after = np.flatnonzero(edges).reshape(-1, 2).T
-    if not first.size:
+    # Row t of `edges` is -1 where a note's last step was t - 1 and +1
+    # where a note starts at t. Read step by step, note-offs before
+    # note-ons and each by pitch, these edges are the file's messages.
+    edges = np.diff(roll.frames, axis=0, prepend=0.0, append=0.0)
+    step, is_on, col = np.unravel_index(np.flatnonzero(np.stack([edges < 0, edges > 0], 1)),
+                                        (len(edges), 2, NUM_PITCHES))
+    if not step.size:
         raise EmptyAfterQuantization(f"{roll.source_id or 'roll'}: no sounding note to render")
-    col, start = np.divmod(first, edges.shape[1])
-    events = checked_notes(zip((MIN_PITCH + col).tolist(), (start * tps).tolist(),
-                               ((after - first) * tps).tolist(), repeat(0)))
     # SMF stores PPQ in 15 bits; at the cap a step spans slightly more time.
     ppq = min(max(1, round(tps / spec.step_fraction)), 0x7FFF)
-    return write_midi(events, ppq)
+    return write_messages(step * tps, is_on, MIN_PITCH + col, ppq)
 
 
 def load_roll(path: str, step_fraction: float) -> tuple[PianoRoll, QuantizationSpec]:

@@ -53,12 +53,6 @@ class NoteEvent(_NoteFields):
         return cls(*iterable)
 
 
-def checked_notes(fields) -> list[NoteEvent]:
-    """NoteEvents from (pitch, onset_ticks, duration_ticks, track) tuples
-    that already pass NoteEvent's checks, built without running them again."""
-    return list(map(partial(tuple.__new__, NoteEvent), fields))
-
-
 def note_array(events: list[NoteEvent]) -> np.ndarray:
     """The events' (pitch, onset_ticks, duration_ticks) as an (n, 3) int64
     array; the track is left out."""
@@ -186,9 +180,9 @@ def parse_midi(data: bytes) -> tuple[list[NoteEvent], int]:
         raise MalformedMidi("no MTrk chunk found")
 
     # A stable sort: notes tied on (onset, pitch, track) keep the order
-    # their track closed them in.
+    # their track closed them in. Each passes NoteEvent's checks already.
     notes.sort(key=itemgetter(1, 0, 3))
-    return checked_notes(notes), division
+    return list(map(partial(tuple.__new__, NoteEvent), notes)), division
 
 
 # A delta time's VLQ is at most four 7-bit groups, at these shifts, most
@@ -199,11 +193,7 @@ _END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])
 
 
 def write_midi(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
-    """Serialize note events as a single-track format-0 SMF. Raises
-    TooLong if an event comes 2^28 ticks or more after the one before it
-    (or after tick 0), a gap no 4-byte delta time can hold."""
-    if ticks_per_quarter < 1 or ticks_per_quarter > 0x7FFF:
-        raise ValueError("ticks_per_quarter out of range")
+    """Serialize note events as a single-track format-0 SMF with `write_messages`."""
     pitch, onset, duration = note_array(events).T
     # One message per row: every note-off, then every note-on, sorted by
     # tick, note-offs before note-ons at a tick, then pitch.
@@ -211,7 +201,17 @@ def write_midi(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
     is_on = np.arange(tick.size) >= onset.size
     pitch = np.concatenate([pitch, pitch])
     order = np.lexsort((pitch, is_on, tick))
-    tick, is_on, pitch = tick[order], is_on[order], pitch[order]
+    return write_messages(tick[order], is_on[order], pitch[order], ticks_per_quarter)
+
+
+def write_messages(tick: np.ndarray, is_on: np.ndarray, pitch: np.ndarray,
+                   ticks_per_quarter: int) -> bytes:
+    """Serialize note messages, in file order, as a single-track format-0
+    SMF: message k turns pitch[k] on if is_on[k], else off, at absolute
+    tick[k]; ticks must not decrease. Raises TooLong if a message comes 2^28
+    ticks or more after the one before (or tick 0), past a 4-byte delta."""
+    if ticks_per_quarter < 1 or ticks_per_quarter > 0x7FFF:
+        raise ValueError("ticks_per_quarter out of range")
     delta = np.diff(tick, prepend=0)
     if delta.max(initial=0) >= 1 << 28:
         raise TooLong(f"a gap of {int(delta.max())} ticks between MIDI events "

@@ -37,6 +37,14 @@ def random_roll(rng: np.random.Generator, num_frames: int = 8,
     return PianoRoll(frames, source_id="random")
 
 
+def outcome(fn, *args):
+    """What `fn` makes of `args`: its result, or the class it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
 def pack(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Sequences (T_n, .) packed one row at a time as `frame_pack` packs a
     corpus: longest first, ties in list order, then step by step; and the

@@ -52,9 +52,14 @@ def criterion3(out: dict):
     out["criterion3.generate_mid"] = sha256(render_midi(generated, spec))
 
 
+def held_out40():
+    """The ragged held-out split `corpus40` scores its models on."""
+    return [chorale_piece(s, n) for s, n in zip(range(10, 16), (8, 33, 17, 64, 2, 40))]
+
+
 def corpus40(out: dict):
     corpus = [chorale_piece(s) for s in range(10)]
-    held_out = [chorale_piece(s, n) for s, n in zip(range(10, 16), (8, 33, 17, 64, 2, 40))]
+    held_out = held_out40()
     for name, (optimizer, window) in CORPUS_RECIPES.items():
         params, history = train(corpus, init_params(NetworkConfig(num_blocks=32, rng_seed=0)),
                                 optimizer, TrainConfig(max_epochs=40, target_mse=1e-9,
@@ -101,9 +106,19 @@ def wide_and_long(out: dict):
         out[f"{name}.model"] = sha256(serialize_model(params))
 
 
+def rendered(out: dict):
+    """MIDI files of the held-out pieces of `corpus40`, where one step
+    often ends one pitch and starts another, at PPQ 3 (steps of two ticks,
+    2/3 of a quarter note) and at PPQ 480."""
+    for ppq in (3, 480):
+        spec = QuantizationSpec.for_ppq(ppq)
+        out[f"render.ppq{ppq}"] = sha256(b"".join(render_midi(roll, spec)
+                                                  for roll in held_out40()))
+
+
 def ledger() -> dict:
     out = {}
-    for recipe in (criterion3, corpus40, ragged40, wide_and_long):
+    for recipe in (criterion3, corpus40, ragged40, wide_and_long, rendered):
         recipe(out)
     return out
 

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,20 +12,23 @@ from choralegen import pianoroll
 from choralegen.errors import (EmptyAfterQuantization, EmptyCorpus,
                                MalformedMidi, TooLong, TooShort,
                                UnsupportedFormat)
-from choralegen.pianoroll import (MIN_PITCH, NUM_PITCHES, PianoRoll,
+from choralegen.pianoroll import (MAX_STEPS, MIN_PITCH, NUM_PITCHES, PianoRoll,
                                   QuantizationSpec, frame_pack, load_corpus,
                                   load_roll, parse_pianoroll_text, quantize,
                                   render_midi)
 from choralegen.smf import NoteEvent, parse_midi, write_midi
 
-from conftest import pack
+from conftest import outcome, pack
 
 SPEC = QuantizationSpec(ticks_per_step=240)
 
 
 def render_reference(roll, spec):
-    """Per-cell walk over every (pitch, step): the oracle for `render_midi`."""
+    """Per-cell walk over every (pitch, step) into run-length notes, which
+    `write_midi` sorts into messages: the oracle for `render_midi`."""
     tps = spec.ticks_per_step
+    if len(roll) * tps >= 1 << 63:
+        raise TooLong("a note would end past tick 2^63")
     events = []
     for col in range(roll.frames.shape[1]):
         column = roll.frames[:, col]
@@ -39,6 +43,8 @@ def render_reference(roll, spec):
         if on:
             events.append(NoteEvent(MIN_PITCH + col, start * tps,
                                     (len(column) - start) * tps))
+    if not events:
+        raise EmptyAfterQuantization("no sounding note")
     events.sort(key=lambda e: (e.onset_ticks, e.pitch))
     ppq = min(max(1, round(tps / spec.step_fraction)), 0x7FFF)
     return write_midi(events, ppq)
@@ -226,18 +232,19 @@ def test_render_refuses_a_delta_of_2_28_ticks():
         render_midi(roll, QuantizationSpec(1 << 27))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
-       st.integers(0, 2**32 - 1), st.integers(1, 500), STEP_FRACTIONS)
+       st.integers(0, 2**32 - 1),
+       st.one_of(st.integers(1, 500), st.integers(1, 1 << 63),
+                 st.sampled_from([(1 << 27) - 1, 1 << 27, (1 << 62) - 1, 1 << 62])),
+       st.one_of(STEP_FRACTIONS, st.just(2 / 3), st.floats(1e-6, 1e6)))
 def test_render_midi_matches_reference(num_frames, density, seed, tps, step_fraction):
+    # The same bytes, or the same error: EmptyAfterQuantization, or
+    # TooLong for a gap of 2^28 ticks or a note past tick 2^63.
     rng = np.random.Generator(np.random.PCG64(seed))
     roll = PianoRoll((rng.uniform(0, 1, (num_frames, 88)) < density).astype(float))
     spec = QuantizationSpec(tps, step_fraction)
-    if not roll.frames.any():
-        with pytest.raises(EmptyAfterQuantization):
-            render_midi(roll, spec)
-        return
-    assert render_midi(roll, spec) == render_reference(roll, spec)
+    assert outcome(render_midi, roll, spec) == outcome(render_reference, roll, spec)
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,6 +320,28 @@ def test_spec_rejects_bad_step_fraction():
     for bad in (0.0, -0.5, float("nan"), float("inf"), 1e306):
         with pytest.raises(ValueError, match="step_fraction"):
             QuantizationSpec(240, bad)
+
+
+@pytest.mark.parametrize("ppq", [0, -480])
+def test_for_ppq_rejects_a_ppq_below_1(ppq):
+    with pytest.raises(ValueError, match="ppq must be >= 1"):
+        QuantizationSpec.for_ppq(ppq)
+
+
+def test_quantize_of_a_max_steps_roll_peaks_below_1_6_rolls():
+    # The roll is 46 MB of float64. Its step marks are counted and summed
+    # in that one buffer: no integer counts, bool roll or copy beside it.
+    rng = np.random.Generator(np.random.PCG64(3))
+    events = [NoteEvent(int(p), int(o), int(d)) for p, o, d in zip(
+        rng.integers(0, 128, 3000), rng.integers(0, (MAX_STEPS - 8) * 240, 3000),
+        rng.integers(1, 2000, 3000))] + [NoteEvent(60, 0, MAX_STEPS * 240)]
+    tracemalloc.start()
+    try:
+        roll = quantize(events, SPEC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(roll) == MAX_STEPS and peak <= 1.6 * roll.frames.nbytes
 
 
 def test_load_roll_spec_carries_the_step_length(tmp_path):

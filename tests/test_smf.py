@@ -1,11 +1,14 @@
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choralegen.errors import MalformedMidi, TooLong, UnsupportedFormat
-from choralegen.smf import NoteEvent, parse_midi, write_midi
+from choralegen.smf import NoteEvent, parse_midi, write_messages, write_midi
+
+from conftest import outcome
 
 
 def header(fmt=0, ntrks=1, division=480):
@@ -166,14 +169,6 @@ def write_reference(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
     body += vlq(0) + bytes([0xFF, 0x2F, 0x00])
     out = b"MThd" + struct.pack(">IHHH", 6, 0, 1, ticks_per_quarter)
     return out + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
-
-
-def outcome(parse, data):
-    """What `parse` makes of `data`: its result, or the class it raised."""
-    try:
-        return parse(data)
-    except Exception as exc:  # the class is what is compared
-        return type(exc)
 
 
 # Single C4 quarter note at tick 0, PPQ 480, built by hand from the SMF
@@ -394,3 +389,6 @@ def test_write_midi_rejects_bad_ppq():
     for ppq in (0, 0x8000):
         with pytest.raises(ValueError, match="ticks_per_quarter"):
             write_midi([NoteEvent(60, 0, 1)], ppq)
+        with pytest.raises(ValueError, match="ticks_per_quarter"):
+            write_messages(np.array([0]), np.array([True]), np.array([60]), ppq)
+
