@@ -22,17 +22,14 @@ def _blocked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray):
         out += a[r : r + BLOCK_ROWS].T @ b[r : r + BLOCK_ROWS]
 
 
-def _previous_rows(values: np.ndarray, runs) -> list[np.ndarray]:
-    """Row blocks that concatenate to each packed row's predecessor, the
-    same sequence's row one step earlier (zero at step 0): at most two
-    slices per run."""
-    blocks, before = [], 0
+def _previous_rows(values: np.ndarray, runs, out: np.ndarray):
+    """Write into `out` each packed row's predecessor, the same sequence's
+    row one step earlier (0.0 at step 0): at most two slices per run."""
+    before = 0
     for _, row, steps, a in runs:
-        blocks.append(values[row - before : row - before + a] if row
-                      else np.zeros((a, values.shape[1])))
-        blocks.append(values[row : row + (steps - 1) * a])
+        out[row : row + a] = values[row - before : row - before + a] if row else 0.0
+        out[row + a : row + steps * a] = values[row : row + (steps - 1) * a]
         before = a
-    return blocks
 
 
 def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
@@ -86,7 +83,7 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
     dz_i[...] = g
-    np.concatenate(_previous_rows(cells, runs), out=dz_f)  # c_{t-1}, c_{-1} = 0
+    _previous_rows(cells, runs, dz_f)  # c_{t-1}, c_{-1} = 0
     dz[:, : 3 * nb] *= gates[:, : 3 * nb]
     for sig, dz_sig in ((o, dz_o), (i, dz_i), (f, dz_f)):
         np.subtract(1.0, sig, out=dz_c)
@@ -118,10 +115,10 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
             np.multiply(dc, f_t, out=dc_carry)
             if window and t % window == 0:  # a chunk starts: no error crosses it
                 dh_carry[...] = dc_carry[...] = 0.0
-    del d_out, dc_dh, per_step, d_out_r, dc_dh_r, d_out_t, dc_dh_t  # views hold their arrays
 
     _blocked_product(dz, x, grads.w_x)
-    _blocked_product(dz, np.concatenate(_previous_rows(outputs, runs)), grads.w_h)  # h_{-1} = 0
+    _previous_rows(outputs, runs, d_out)  # h_{t-1}, h_{-1} = 0, over the spent d_out
+    _blocked_product(dz, d_out, grads.w_h)
     np.sum(dz, axis=0, out=grads.b)
     if not np.isfinite(grads.vector).all():
         raise NonFiniteGradient("NaN/inf in gradient")

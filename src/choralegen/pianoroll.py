@@ -62,7 +62,7 @@ class PianoRoll:
             raise ValueError(f"frames must be (T, {NUM_PITCHES})")
         if self.frames.shape[0] < 1:
             raise ValueError("roll needs at least one frame")
-        if not np.isin(self.frames, (0.0, 1.0)).all():
+        if np.count_nonzero(self.frames) != np.count_nonzero(self.frames == 1.0):  # every nonzero is 1.0
             raise ValueError("frames must be exactly 0.0 or 1.0")
 
     def __len__(self) -> int:

@@ -19,7 +19,7 @@ from .metrics import frame_accuracy
 from .network import NetworkParams, _lstm_cell, _sigmoid_of_negated, forward_sequence, gate_views
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
-from .pianoroll import MAX_STEPS, PianoRoll, frame_pack, frame_pairs
+from .pianoroll import MAX_STEPS, NUM_PITCHES, PianoRoll, frame_pack, frame_pairs
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,10 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
     Total MSE is the mean over all sequences' timestep x unit entries. The
     gradient is that of the sum of the per-sequence MSEs, so each piece
     weighs the same whatever its length. Every epoch runs the whole corpus
-    packed by `frame_pack`, one row per real frame pair: one forward and
-    one backward.
-    The epoch at which the target is met performs no further update. The
-    update is RProp for an RPropConfig and gradient descent for a GDConfig.
+    packed by `frame_pack`, one row per real frame pair: one forward, whose
+    MSE is recorded, then one backward and one update. The epoch at which
+    the target is met runs neither. The update is RProp for an RPropConfig
+    and gradient descent for a GDConfig.
     """
     if not rolls:
         raise EmptyCorpus("no training sequences")
@@ -99,17 +99,18 @@ def train(rolls: list[PianoRoll], params: NetworkParams,
         start = time.perf_counter()
         try:
             trace = forward_sequence(params, inputs, batch_sizes)
-            grads = backward(params, trace, targets, loss_scale, config.truncation_window)
+            mse = float(np.sum((trace.y - targets) ** 2)) / targets.size
+            history.converged = mse <= config.target_mse
+            if not history.converged:  # the last epoch is scored, not differentiated
+                grads = backward(params, trace, targets, loss_scale, config.truncation_window)
         except (NonFiniteActivation, NonFiniteGradient) as exc:
             raise NonFiniteLoss(epoch) from exc
-        mse = float(np.sum((trace.y - targets) ** 2)) / targets.size
         history.mse.append(mse)
         history.epochs_run = epoch + 1
         history.epoch_seconds.append(time.perf_counter() - start)
-        if log and (epoch % config.log_every == 0 or mse <= config.target_mse):
+        if log and (epoch % config.log_every == 0 or history.converged):
             log(f"epoch {epoch:4d}  mse {mse:.6f}")
-        if mse <= config.target_mse:
-            history.converged = True
+        if history.converged:
             break
         if rprop_state is not None:
             params, rprop_state = rprop_step(params, grads, rprop_state, optimizer_config)
@@ -134,7 +135,8 @@ def generate(params: NetworkParams, seed_frames: np.ndarray,
              config: GenerationConfig) -> PianoRoll:
     """Feed the seed, then free-run for config.num_steps steps: threshold
     each prediction into a binary frame, append it, and feed it (or the
-    raw probabilities) back.
+    raw probabilities) back. A network not NUM_PITCHES wide, or a finite
+    seed value not 0 or 1, raises ValueError before the first step.
 
     One loop steps every row of the roll from the zero state, seed and
     continuation alike, each with one fused [w_x | w_h] @ [x; h] product
@@ -143,11 +145,15 @@ def generate(params: NetworkParams, seed_frames: np.ndarray,
     """
     seed_frames = np.asarray(seed_frames, dtype=np.float64)
     ni, nb = params.num_inputs, params.num_blocks
+    if ni != NUM_PITCHES or params.num_outputs != NUM_PITCHES:  # rows of the returned roll
+        raise ValueError(f"layer sizes {ni}-{nb}-{params.num_outputs}, not {NUM_PITCHES} in and out")
     if seed_frames.ndim != 2 or not len(seed_frames) or seed_frames.shape[1] != ni:
         raise ValueError("seed must be a non-empty (S, num_inputs) array")
     s = len(seed_frames)
     if s + config.num_steps > MAX_STEPS:  # as GenerationConfig bounds seed_frames
         raise ValueError(f"seed ({s}) + num_steps ({config.num_steps}) > MAX_STEPS ({MAX_STEPS})")
+    if not np.isin(seed_frames[np.isfinite(seed_frames)], (0.0, 1.0)).all():  # non-finite: below
+        raise ValueError("finite seed values must be exactly 0.0 or 1.0")
     rows = np.empty((s + config.num_steps, ni))
     rows[:s] = seed_frames
     cells, ys = np.empty((len(rows), nb)), np.empty((len(rows), params.num_outputs))

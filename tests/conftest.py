@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # the class is what is compared
         return type(exc)
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of the call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pack(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

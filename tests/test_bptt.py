@@ -227,3 +227,18 @@ def test_truncated_batch_matches_per_piece_chunks():
     assert max_norm_close(batched.vector, expected, 1e-12)
     full = backward(params, trace, targets)
     assert not max_norm_close(full.vector, expected, 1e-6)
+
+
+
+@pytest.mark.parametrize("window", [None, 4])
+def test_backward_leaves_its_operands_unchanged(window):
+    # backward works in buffers of its own: the trace of a ragged packed
+    # corpus, its targets and the weights keep every byte, so the same
+    # trace differentiates again to the same gradient.
+    params, _, inputs, targets, batch_sizes = ragged_batch(5, (9, 6, 11, 6), ni=3, nb=4, no=3)
+    trace = forward_sequence(params, inputs, batch_sizes)
+    operands = [getattr(trace, f.name) for f in dataclasses.fields(trace)] + [targets, params.vector]
+    before = [a.tobytes() for a in operands]
+    first = backward(params, trace, targets, window=window)
+    assert [a.tobytes() for a in operands] == before
+    assert backward(params, trace, targets, window=window).vector.tobytes() == first.vector.tobytes()

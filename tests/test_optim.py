@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +7,8 @@ from choralegen.errors import ShapeMismatch
 from choralegen.network import NetworkConfig, init_params
 from choralegen.optim import (GDConfig, RPropConfig, gd_step, rprop_init,
                               rprop_step)
+
+from conftest import traced_peak
 
 
 def make_params(seed=0, nb=3):
@@ -256,11 +256,5 @@ def test_rprop_step_peak_memory_in_parameter_vectors(variant, vectors):
     params = init_params(NetworkConfig(num_blocks=64))
     first, second = mixed_gradients(3, params.size(), 2)
     _, state = rprop_step(params, params.with_flat(first), rprop_init(params, config), config)
-    grads = params.with_flat(second)
-    tracemalloc.start()
-    try:
-        rprop_step(params, grads, state, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(rprop_step, params, params.with_flat(second), state, config)
     assert peak <= vectors * params.vector.nbytes

@@ -1,6 +1,5 @@
 import os
 import struct
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +17,7 @@ from choralegen.pianoroll import (MAX_STEPS, MIN_PITCH, NUM_PITCHES, PianoRoll,
                                   render_midi)
 from choralegen.smf import NoteEvent, parse_midi, write_midi
 
-from conftest import outcome, pack
+from conftest import outcome, pack, traced_peak
 
 SPEC = QuantizationSpec(ticks_per_step=240)
 
@@ -328,20 +327,43 @@ def test_for_ppq_rejects_a_ppq_below_1(ppq):
         QuantizationSpec.for_ppq(ppq)
 
 
-def test_quantize_of_a_max_steps_roll_peaks_below_1_6_rolls():
-    # The roll is 46 MB of float64. Its step marks are counted and summed
-    # in that one buffer: no integer counts, bool roll or copy beside it.
+@pytest.fixture(scope="module")
+def max_steps_quantize_peak():
+    """`quantize`'s traced peak on notes that make a MAX_STEPS roll, in rolls."""
     rng = np.random.Generator(np.random.PCG64(3))
     events = [NoteEvent(int(p), int(o), int(d)) for p, o, d in zip(
         rng.integers(0, 128, 3000), rng.integers(0, (MAX_STEPS - 8) * 240, 3000),
         rng.integers(1, 2000, 3000))] + [NoteEvent(60, 0, MAX_STEPS * 240)]
-    tracemalloc.start()
-    try:
-        roll = quantize(events, SPEC)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(roll) == MAX_STEPS and peak <= 1.6 * roll.frames.nbytes
+    roll_bytes = quantize(events, SPEC).frames.nbytes
+    assert roll_bytes == MAX_STEPS * NUM_PITCHES * 8
+    return traced_peak(quantize, events, SPEC) / roll_bytes
+
+
+def test_quantize_of_a_max_steps_roll_peaks_below_1_6_rolls(max_steps_quantize_peak):
+    # The roll is 46 MB of float64. Its step marks are counted and summed
+    # in that one buffer: no integer counts, bool roll or copy beside it.
+    assert max_steps_quantize_peak <= 1.6
+
+
+def test_quantize_of_a_max_steps_roll_peaks_below_1_2_rolls(max_steps_quantize_peak):
+    # Beside the roll, PianoRoll's value check holds one bool array, 1/8 of
+    # the roll, from comparing it with 1.0.
+    assert max_steps_quantize_peak <= 1.2
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (0.0, True), (-0.0, True), (1.0, True), (np.nan, False), (np.inf, False),
+    (-np.inf, False), (0.5, False), (2.0, False), (-1.0, False), (5e-324, False),
+    (1.0 - 2**-53, False), (1.0 + 2**-52, False)])
+def test_piano_roll_accepts_exactly_0_and_1(value, accepted):
+    frames = np.zeros((3, NUM_PITCHES))
+    frames[0, 4] = 1.0
+    frames[1, 7] = value
+    if accepted:
+        assert PianoRoll(frames).frames[1, 7] == value
+    else:
+        with pytest.raises(ValueError, match="exactly 0.0 or 1.0"):
+            PianoRoll(frames)
 
 
 def test_load_roll_spec_carries_the_step_length(tmp_path):

@@ -4,12 +4,12 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from choralegen import runner
 from choralegen.bptt import backward
 from choralegen.errors import EmptyCorpus, NonFiniteActivation, NonFiniteLoss
 from choralegen.metrics import evaluate
@@ -20,7 +20,7 @@ from choralegen.pianoroll import MAX_STEPS, PianoRoll
 from choralegen.runner import (GenerationConfig, TrainConfig, format_history,
                                generate, reconstruct, train)
 
-from conftest import chorale_piece
+from conftest import chorale_piece, traced_peak
 
 
 def constant_roll(num_frames=6):
@@ -103,15 +103,6 @@ def test_corpus_order_changes_no_byte():
     report = evaluate(params, shuffled, threshold=0.5)
     assert report.pieces == [evaluate(params, [roll], threshold=0.5).pieces[0]
                              for roll in shuffled]
-
-
-def traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_short_pieces_cost_memory_for_their_own_frames_only():
@@ -200,17 +191,39 @@ def test_generate_rejects_a_seed_that_is_not_rows_of_the_input_width(shape):
         generate(small_net(), np.zeros(shape), GenerationConfig(num_steps=0))
 
 
+def refused(message, params, seed, num_steps):
+    with pytest.raises(ValueError, match=message):
+        generate(params, seed, GenerationConfig(num_steps=num_steps))
+
+
 def test_generate_rejects_a_seed_too_long_to_read_back():
     # GenerationConfig bounds seed_frames + num_steps; a longer seed array
     # is refused before the roll is allocated (the seed is a broadcast view).
     seed = np.broadcast_to(np.zeros(88), (MAX_STEPS, 88))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="MAX_STEPS"):
-            generate(small_net(), seed, GenerationConfig(num_steps=1))
-        assert tracemalloc.get_traced_memory()[1] < 1 << 20
-    finally:
-        tracemalloc.stop()
+    assert traced_peak(refused, "MAX_STEPS", small_net(), seed, 1) < 1 << 20
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 3), (88, 3, 5), (5, 3, 88)])
+def test_generate_refuses_a_network_not_88_wide_before_it_steps(sizes):
+    # A roll is 88 pitches wide; if only the returned roll checked that,
+    # such a net would run all 60,000 steps first.
+    ni, nb, no = sizes
+    params = init_params(NetworkConfig(num_inputs=ni, num_blocks=nb, num_outputs=no))
+    assert traced_peak(refused, "layer sizes", params, np.zeros((1, ni)), 60_000) < 1 << 20
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0, 1e-300])
+def test_generate_refuses_a_finite_seed_value_not_0_or_1_before_it_steps(value):
+    seed = np.zeros((3, 88))
+    seed[1, 5] = value
+    assert traced_peak(refused, "0.0 or 1.0", small_net(), seed, 60_000) < 1 << 20
+
+
+def test_generate_takes_a_seed_of_negative_zeros():
+    seed = np.full((2, 88), -0.0)
+    seed[1, 5] = 1.0
+    out = generate(small_net(), seed, GenerationConfig(num_steps=2))
+    assert np.array_equal(out.frames[:2], seed)
 
 
 def test_negative_counts_rejected():
@@ -239,6 +252,17 @@ def test_update_follows_the_optimizer_config_type():
     for config, want in expected.items():
         got, _ = train([roll], params, config, TrainConfig(max_epochs=1, target_mse=1e-9))
         assert np.array_equal(got.vector, want.vector)
+
+
+@pytest.mark.parametrize("max_epochs, target_mse", [(200, 0.01), (5, 0.9), (5, 1e-9)])
+def test_backward_runs_only_on_epochs_that_update(monkeypatch, max_epochs, target_mse):
+    # The epoch that meets the target is scored from the forward alone.
+    calls = []
+    monkeypatch.setattr(runner, "backward", lambda *args: calls.append(1) or backward(*args))
+    _, history = train([constant_roll()], small_net(), RPropConfig(),
+                       TrainConfig(max_epochs=max_epochs, target_mse=target_mse))
+    assert len(calls) == history.epochs_run - history.converged
+    assert history.converged == (target_mse > 1e-9)
 
 
 def test_non_finite_parameter_raises_non_finite_loss():
