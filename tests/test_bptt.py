@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from choralegen.bptt import backward, finite_diff_gradient, max_relative_error
-from choralegen.errors import LengthMismatch
+from choralegen.errors import LengthMismatch, NonFiniteGradient
 from choralegen.network import NetworkConfig, forward_sequence, init_params
 
 from conftest import pack
@@ -83,6 +83,15 @@ def test_length_mismatch():
         with pytest.raises(LengthMismatch):
             backward(params, dataclasses.replace(trace, batch_sizes=np.array(batch_sizes)),
                      targets)
+
+
+def test_overflowing_gradient_raises_non_finite_gradient():
+    # 2 * 1e308 is inf: the gradient fills with inf and NaN, which backward
+    # reports as NonFiniteGradient, not as a numpy RuntimeWarning.
+    params, inputs, targets = random_instance(0)
+    trace = forward_sequence(params, inputs)
+    with pytest.raises(NonFiniteGradient):
+        backward(params, trace, targets, loss_scale=1e308)
 
 
 def test_loss_scaling_scales_gradients():

@@ -350,6 +350,13 @@ def test_missing_corpus_exit_1(tmp_path, capsys):
     assert err.startswith("error: corpus directory") and "nope" in err and "not found" in err
 
 
+def test_train_without_a_corpus_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CORPUS_ENV, raising=False)
+    assert main(["train", "--out", str(tmp_path / "m.chlf")]) == 1
+    assert capsys.readouterr().err.startswith("error: no corpus directory given")
+    assert not (tmp_path / "m.chlf").exists()
+
+
 def test_bad_config_exit_1(workspace, capsys):
     (workspace / "run.cfg").write_text("bogus_key = 1")
     assert main(train_args(workspace)) == 1

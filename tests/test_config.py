@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,16 @@ def test_section_error_names_the_lines_that_set_it():
     # A key set twice is named at its last line, in line order.
     with pytest.raises(ConfigError, match=r"^line 2, line 4: need 0 < delta_min"):
         parse_run_config("delta_max = 1\ndelta_zero = 0.01\nthreshold = 0.5\ndelta_max = 0.001\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("max_epochs = 0", "max_epochs must be >= 1"),
+    ("feedback = loud", "unknown feedback mode 'loud'"),
+    ("fallback = loud", "unknown fallback 'loud'"),
+])
+def test_bad_train_or_generation_value_names_its_line(line, message):
+    with pytest.raises(ConfigError, match=f"^line 2: {re.escape(message)}$"):
+        parse_run_config(f"# run\n{line}\n")
 
 
 def test_flags_override_the_file_and_are_checked_alike():

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from choralegen.errors import LengthMismatch, NonFiniteActivation
-from choralegen.network import (MAX_PARAMS, NetworkConfig, _lstm_cell, _sigmoid_of_negated,
-                                forward_sequence, gate_views, init_params, param_count)
+from choralegen.errors import LengthMismatch, NonFiniteActivation, ShapeMismatch
+from choralegen.network import (MAX_PARAMS, NetworkConfig, NetworkParams, _lstm_cell,
+                                _sigmoid_of_negated, forward_sequence, gate_views, init_params,
+                                param_count)
 
 from conftest import pack
 
@@ -45,6 +46,13 @@ def test_max_params_bounds_the_param_count():
         NetworkConfig(num_inputs=1, num_blocks=2047, num_outputs=1)
     with pytest.raises(ValueError, match="MAX_PARAMS"):
         NetworkConfig(num_inputs=MAX_PARAMS, num_blocks=1, num_outputs=1)
+
+
+def test_params_around_a_vector_of_the_wrong_length_raise_shape_mismatch():
+    size = param_count(small_config())
+    for length in (size - 1, size + 1):
+        with pytest.raises(ShapeMismatch):
+            NetworkParams(np.zeros(length), 3, 4, 2)
 
 
 def test_init_deterministic():
@@ -212,6 +220,12 @@ def test_batched_non_finite_input_reports_its_timestep():
         with pytest.raises(NonFiniteActivation) as info:
             forward_sequence(params, *pack(seqs))
         assert info.value.timestep == step
+
+
+@pytest.mark.parametrize("inputs", [np.zeros(3), np.zeros((0, 3))], ids=["1-D", "0-rows"])
+def test_forward_refuses_inputs_that_are_not_rows(inputs):
+    with pytest.raises(ValueError, match="non-empty"):
+        forward_sequence(init_params(small_config()), inputs)
 
 
 @pytest.mark.parametrize("batch_sizes", [[3, 0, 3], [2, 2, 1], [1] * 7, [2, 3, 1], [],

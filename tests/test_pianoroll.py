@@ -13,7 +13,7 @@ from choralegen.errors import (EmptyAfterQuantization, EmptyCorpus,
                                UnsupportedFormat)
 from choralegen.pianoroll import (MAX_STEPS, MIN_PITCH, NUM_PITCHES, PianoRoll,
                                   QuantizationSpec, frame_pack, load_corpus,
-                                  load_roll, parse_pianoroll_text, quantize,
+                                  load_roll, load_split, parse_pianoroll_text, quantize,
                                   render_midi)
 from choralegen.smf import NoteEvent, parse_midi, write_midi
 
@@ -321,6 +321,18 @@ def test_spec_rejects_bad_step_fraction():
             QuantizationSpec(240, bad)
 
 
+def test_spec_rejects_ticks_per_step_below_1():
+    with pytest.raises(ValueError, match="ticks_per_step must be >= 1"):
+        QuantizationSpec(0)
+
+
+@pytest.mark.parametrize("shape, message", [((4, 87), r"frames must be \(T, 88\)"),
+                                            ((0, 88), "at least one frame")])
+def test_piano_roll_rejects_a_shape_that_is_not_rows_of_88(shape, message):
+    with pytest.raises(ValueError, match=message):
+        PianoRoll(np.zeros(shape))
+
+
 @pytest.mark.parametrize("ppq", [0, -480])
 def test_for_ppq_rejects_a_ppq_below_1(ppq):
     with pytest.raises(ValueError, match="ppq must be >= 1"):
@@ -429,6 +441,17 @@ def test_load_corpus(tmp_path):
     assert [r.source_id for r in corpus.train] == ["a.mid", "b.mid"]
     assert [r.source_id for r in corpus.test] == ["c.mid"]
     assert len(corpus.warnings) == 1
+
+
+def test_load_split_passes_over_files_that_are_not_midi(tmp_path):
+    os.makedirs(tmp_path / "train")
+    frames = np.zeros((4, 88))
+    frames[:, 10] = 1.0
+    _write_roll(tmp_path / "train" / "a.mid", frames)
+    (tmp_path / "train" / "notes.txt").write_text("not a piece, and no warning")
+    rolls, warnings = load_split(str(tmp_path), "train")
+    assert [r.source_id for r in rolls] == ["a.mid"]
+    assert warnings == []
 
 
 def test_load_corpus_empty(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 from choralegen import runner
 from choralegen.bptt import backward
-from choralegen.errors import EmptyCorpus, NonFiniteActivation, NonFiniteLoss
+from choralegen.errors import EmptyCorpus, NonFiniteActivation, NonFiniteGradient, NonFiniteLoss
 from choralegen.metrics import evaluate
 from choralegen.model_io import serialize_model
 from choralegen.network import NetworkConfig, forward_sequence, init_params
@@ -125,6 +125,17 @@ def test_one_piece_trains_on_one_copy_of_its_frames():
     one_epoch = lambda rolls: train(rolls, params, RPropConfig(),
                                     TrainConfig(max_epochs=1, target_mse=1e-9))
     assert traced_peak(one_epoch, [chorale_piece(0, 2048)]) <= 10.4e6
+
+
+@pytest.mark.parametrize("num_frames, bytes_per_frame", [(513, 10_600), (2049, 8_600)])
+def test_one_epoch_at_64_blocks_peaks_below_its_bytes_per_frame(num_frames, bytes_per_frame):
+    # Measured at 10070 and 8187 B per frame pair; the shorter piece pays
+    # more per frame for the weights, gradient and RProp state.
+    params = init_params(NetworkConfig(num_blocks=64, rng_seed=0))
+    one_epoch = lambda rolls: train(rolls, params, RPropConfig(),
+                                    TrainConfig(max_epochs=1, target_mse=1e-9))
+    peak = traced_peak(one_epoch, [chorale_piece(3, num_frames)])
+    assert peak <= bytes_per_frame * (num_frames - 1)
 
 
 def test_truncation_window_trains():
@@ -271,6 +282,14 @@ def test_non_finite_parameter_raises_non_finite_loss():
     with pytest.raises(NonFiniteLoss) as info:
         train([constant_roll()], params, RPropConfig(), TrainConfig(max_epochs=3))
     assert info.value.epoch == 0
+
+
+def test_overflowing_gradient_raises_non_finite_loss_at_epoch_0():
+    with pytest.raises(NonFiniteLoss) as info:
+        train([constant_roll()], small_net(), RPropConfig(), TrainConfig(max_epochs=3),
+              loss_scale=1e308)
+    assert info.value.epoch == 0
+    assert isinstance(info.value.__cause__, NonFiniteGradient)
 
 
 def test_generate_reports_row_of_non_finite_step():

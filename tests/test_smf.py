@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,6 +237,26 @@ def test_truncated_chunk_raises():
 def test_bad_vlq_raises(body, message):
     with pytest.raises(MalformedMidi, match=message):
         parse_midi(header() + track(body))
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(b"MThd" + struct.pack(">IHHH", 5, 0, 1, 480) + track(bytes([0x00, 0xFF, 0x2F, 0x00])),
+                 "MThd length < 6", id="header-length-5"),
+    pytest.param(header() + track(bytes([0x00, 0xFF])), "truncated meta event",
+                 id="track-ends-after-0xff"),
+])
+def test_short_header_or_meta_event_raises(data, message):
+    with pytest.raises(MalformedMidi, match=message):
+        parse_midi(data)
+
+
+def test_importing_smf_loads_no_other_layer():
+    # The package root exports nothing, so a MIDI reader imports no network.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, choralegen.smf; print(*sorted(m for m in sys.modules if 'choralegen' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["choralegen", "choralegen.errors", "choralegen.smf"]
 
 
 def test_format_2_rejected():
