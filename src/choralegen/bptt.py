@@ -73,8 +73,9 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
         # step below scales its rows into that step's gate deltas. Sigmoid
         # gate s: (tanh c for o, g for i, c_{t-1} for f) * s * (1 - s). Built
         # in place, dz_c holding each 1 - s, to bound the memory of a corpus.
-        _, sig, o, i, f, g = gate_views(trace.gates)
-        dz, dz_sig, dz_o, dz_i, dz_f, dz_c = gate_views(np.empty_like(trace.gates))
+        dz = np.empty_like(trace.gates)  # (rows, 4B) as the gates; both split as (4, rows, B)
+        _, sig, o, i, f, g = gate_views(trace.gates.reshape(-1, 4, nb).swapaxes(0, 1))
+        _, dz_sig, dz_o, dz_i, dz_f, dz_c = gate_views(dz.reshape(-1, 4, nb).swapaxes(0, 1))
         tc = np.tanh(cells, out=dz_o)
         dc_dh = tc * tc
         np.subtract(1.0, dc_dh, out=dc_dh)

@@ -138,27 +138,26 @@ def _sigmoid_of_negated(a: np.ndarray):
 
 
 def gate_views(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The views `_lstm_cell` takes of gate array z (..., 4B): z, its sigmoid
-    block, then o, i, f and g. Zip those of a (steps, ..., 4B) array to step."""
-    nb = z.shape[-1] // 4
-    return (z, z[..., : 3 * nb], *(z[..., k * nb : (k + 1) * nb] for k in range(4)))
+    """The views `_lstm_cell` takes of gate array z (..., 4, a, B): z, its
+    sigmoid block, then o, i, f and g. Zip those of a (steps, 4, a, B) array to step."""
+    return (z, z[..., :3, :, :], *(z[..., k, :, :] for k in range(4)))
 
 
-def _lstm_cell(views: tuple, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray):
+def _lstm_cell(pre: np.ndarray, views: tuple, c: np.ndarray, c_out: np.ndarray, h_out: np.ndarray):
     """One timestep of the LSTM equations, the only copy of them.
 
-    `views` are the `gate_views` of the gate pre-activations z (..., 4B),
-    which is overwritten with the activations: sigmoid o, i, f and tanh
-    cell input. The new cell state f*c + i*g goes to `c_out` and the block
-    output o*tanh(c_out) to `h_out`. The caller ignores overflow.
+    `pre` holds the gate pre-activations, o, i and f halved, shaped as the
+    gate array z (..., 4, a, B) that `views`, its `gate_views`, split; it may
+    be z. z receives the activations: sigmoid o, i, f and tanh cell input.
+    The new cell state f*c + i*g goes to `c_out` and the block output
+    o*tanh(c_out) to `h_out`. The caller ignores overflow.
 
     One tanh covers all four gates, the sigmoid ones as
     1/(1+exp(-a)) = 1/2 + tanh(a/2)/2. Halving is exact, so +-inf and NaN
     map as the logistic maps them; the result is within 2.2e-16 of it.
     """
     z, sig, o, i, f, g = views
-    sig *= _HALF
-    np.tanh(z, out=z)
+    np.tanh(pre, out=z)
     sig *= _HALF
     sig += _HALF
     np.multiply(f, c, out=c_out)
@@ -218,9 +217,9 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray,
     packed time-major as `pianoroll.frame_pack` makes them: step t holds
     one row for each of the first `batch_sizes[t]` sequences, the longest
     first. The input projection and the output layer are one matrix
-    product each over all rows; each step adds one recurrent product into
+    product each over all rows; each step adds one recurrent product to
     its rows of the gate array, on a (batch size, ·) block. The gates are
-    stored in the o, i, f, c order of NetworkParams.
+    stored in the o, i, f, c order of NetworkParams, as rows of 4B.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
@@ -229,23 +228,30 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray,
     nb, width = params.num_blocks, runs[0][3]
     cells = np.empty((len(inputs), nb))
     outputs = np.empty_like(cells)
-    w_hT = np.ascontiguousarray(params.w_h.T)
+    w_hT = params.w_h.T.copy()  # C-ordered; its sigmoid columns halved, as the gates' below
+    w_hT[:, : 3 * nb] *= _HALF
     # NaN is reported below, by timestep.
     with np.errstate(over="ignore", invalid="ignore"):
         gates = inputs @ params.w_x.T
         gates += params.b
+        gates[:, : 3 * nb] *= _HALF
         c = h = np.zeros((width, nb))
         scratch = np.empty((width, 4 * nb))
         for _, row, steps, a in runs:
             c, h, tmp = c[:a], h[:a], scratch[:a]
+            pre = tmp.reshape(a, 4, nb).transpose(1, 0, 2)
             span = slice(row, row + steps * a)
             z_run, c_run, h_run = (v[span].reshape(steps, a, -1) for v in (gates, cells, outputs))
-            for views, c_out, h_out in zip(zip(*gate_views(z_run)), c_run, h_run):
-                z = views[0]
+            blocks = z_run.reshape(steps, 4, a, nb)  # each step's gates, until the run ends
+            for z, views, c_out, h_out in zip(z_run, zip(*gate_views(blocks)), c_run, h_run):
                 np.dot(h, w_hT, out=tmp)
-                z += tmp
-                _lstm_cell(views, c, c_out, h_out)
+                tmp += z
+                _lstm_cell(pre, views, c, c_out, h_out)
                 c, h = c_out, h_out
+            if a > 1:  # back to rows of 4B, a step at a time through tmp
+                for z, block in zip(z_run, blocks):
+                    pre[...] = block
+                    z[...] = tmp
         y = outputs @ (-params.w_out).T
         y -= params.b_out
         _sigmoid_of_negated(y)

@@ -16,7 +16,7 @@ import numpy as np
 from .bptt import backward
 from .errors import EmptyCorpus, NonFiniteActivation, NonFiniteGradient, NonFiniteLoss
 from .metrics import frame_accuracy
-from .network import NetworkParams, _lstm_cell, _sigmoid_of_negated, forward_sequence, gate_views
+from .network import _HALF, NetworkParams, _lstm_cell, _sigmoid_of_negated, forward_sequence, gate_views
 from .optim import (GDConfig, RPropConfig, RPropState, gd_step, rprop_init,
                     rprop_step)
 from .pianoroll import MAX_STEPS, NUM_PITCHES, PianoRoll, frame_pack, frame_pairs
@@ -164,7 +164,8 @@ def generate(params: NetworkParams, seed_frames: np.ndarray,
     xh = np.zeros(ni + nb)
     x, h, c = xh[:ni], xh[ni:], np.zeros(nb)
     z = np.empty(4 * nb)
-    views = gate_views(z)
+    sig, views = z[: 3 * nb], gate_views(z.reshape(4, 1, nb))  # the cell steps (1, B) rows
+    block, h_row, cell_rows = views[0], h[None], cells[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for t, frame in enumerate(rows):
             if t >= s:
@@ -175,8 +176,9 @@ def generate(params: NetworkParams, seed_frames: np.ndarray,
             x[...] = y if raw and t >= s else frame
             np.dot(w, xh, out=z)
             z += b
-            _lstm_cell(views, c, cells[t], h)
-            c, y = cells[t], ys[t]
+            sig *= _HALF
+            _lstm_cell(block, views, c, cell_rows[t], h_row)
+            c, y = cell_rows[t], ys[t]
             np.dot(w_out, h, out=y)
             y -= b_out
             _sigmoid_of_negated(y)

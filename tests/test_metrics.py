@@ -11,6 +11,8 @@ from choralegen.optim import RPropConfig
 from choralegen.pianoroll import PianoRoll
 from choralegen.runner import TrainConfig, train
 
+from conftest import chorale_piece, traced_peak
+
 
 def brute_force_counts(predicted, target):
     """Independent per-cell scan used as the oracle."""
@@ -173,3 +175,13 @@ def test_evaluate_agrees_with_piece_prf_and_frame_accuracy():
     assert report.frame_accuracy == frame_accuracy(pairs)
     assert report.macro_f1 == np.mean([piece_prf(p, t)[2] for p, t in pairs])
     assert 0 < report.frame_accuracy < 1
+
+
+def test_evaluate_of_equal_pieces_at_64_blocks_peaks_below_4750_bytes_per_frame_pair():
+    # Eight 257-frame pieces run as one batch of 8 at every step, whose gate
+    # blocks go back to rows of 4B through the step scratch: measured at
+    # 4657 B per frame pair. A copy-back through one temporary per run
+    # peaked at 5912 B.
+    params = init_params(NetworkConfig(num_blocks=64, rng_seed=0))
+    rolls = [chorale_piece(seed, 257) for seed in range(8)]
+    assert traced_peak(evaluate, params, rolls) <= 4750 * 8 * 256

@@ -77,14 +77,17 @@ def test_zero_params_predict_half():
 def test_cell_decay_closed_form():
     # With zero input-gate path and forget bias 1, the cell state decays
     # by sigmoid(1) each step: c_t = sigmoid(1)^t * c_0.
+    # The cell steps one (1, B) row; its o, i and f pre-activations come halved.
     params = init_params(small_config(init_scale=0.0))
-    c0 = np.array([0.8, -0.3, 0.5, 1.2])
-    c, h = c0.copy(), np.zeros(4)
+    c0 = np.array([[0.8, -0.3, 0.5, 1.2]])
+    c, h = c0.copy(), np.zeros((1, 4))
     decay = 1.0 / (1.0 + np.exp(-1.0))
     for t in range(1, 4):
-        z = params.w_x @ np.zeros(3) + params.w_h @ h + params.b
-        c_next = np.empty(4)
-        _lstm_cell(gate_views(z), c, c_next, h)
+        z = params.w_x @ np.zeros(3) + params.w_h @ h[0] + params.b
+        z[:12] *= 0.5
+        z = z.reshape(4, 1, 4)
+        c_next = np.empty((1, 4))
+        _lstm_cell(z, gate_views(z), c, c_next, h)
         c = c_next
         assert np.allclose(c, decay ** t * c0, rtol=1e-12)
 
@@ -99,10 +102,14 @@ def test_lstm_cell_matches_the_written_out_equations():
     dense = np.linspace(-50.0, 50.0, 4001)
     o, i, f, g = np.hstack([np.array(list(itertools.product(special, repeat=4))).T,
                             [rng.permutation(dense) for _ in range(4)]])
+    # As in a batched step, the cell reads (a, 4B) rows, here a = 3, as a
+    # (4, a, B) block; its caller has halved the o, i and f pre-activations.
     c_prev = rng.uniform(-3.0, 3.0, o.size)
-    z = np.concatenate([o, i, f, g])
-    c, h = np.empty(o.size), np.empty(o.size)
-    _lstm_cell(gate_views(z), c_prev, c, h)
+    rows = np.hstack([v.reshape(3, -1) for v in (0.5 * o, 0.5 * i, 0.5 * f, g)])
+    z = np.empty((4, 3, o.size // 3))
+    c, h = np.empty((2, 3, o.size // 3))
+    _lstm_cell(rows.reshape(3, 4, -1).transpose(1, 0, 2), gate_views(z), c_prev.reshape(3, -1), c, h)
+    z, c, h = z.reshape(-1), c.reshape(-1), h.reshape(-1)
 
     with np.errstate(over="ignore"):
         logistic = lambda a: 1.0 / (1.0 + np.exp(-a))
@@ -118,13 +125,13 @@ def test_lstm_cell_matches_the_written_out_equations():
     assert np.array_equal(np.isnan(h), nan_ifg | np.isnan(o))
 
 
-def test_gate_views_split_the_last_axis_in_o_i_f_g_order():
-    z = np.arange(2 * 3 * 8.0).reshape(2, 3, 8)
+def test_gate_views_split_the_gate_axis_in_o_i_f_g_order():
+    z = np.arange(2 * 4 * 3 * 2.0).reshape(2, 4, 3, 2)  # (steps, 4, a, B)
     views = gate_views(z)
-    assert views[0] is z and np.array_equal(views[1], z[..., :6])
+    assert views[0] is z and np.array_equal(views[1], z[:, :3])
     for k, view in enumerate(views[2:]):
-        assert np.shares_memory(view, z) and np.array_equal(view, z[..., 2 * k : 2 * k + 2])
-    for step, per_step in zip(z, zip(*views)):  # zipped, a step's views of a 3-D array
+        assert np.shares_memory(view, z) and np.array_equal(view, z[:, k])
+    for step, per_step in zip(z, zip(*views)):  # zipped, a step's views of a 4-D array
         assert all(np.array_equal(v, w) for v, w in zip(per_step, gate_views(step)))
 
 
@@ -183,6 +190,18 @@ def test_forward_deterministic():
     assert np.array_equal(t1.y, t2.y)
 
 
+@pytest.mark.parametrize("nb", [1, 4])
+def test_forward_halves_a_copy_of_the_recurrent_weights(nb):
+    # At one block w_h.T is already C-contiguous, so only a copy keeps the
+    # weights from being halved with the sigmoid gates' columns.
+    params = init_params(small_config(num_blocks=nb))
+    before = params.vector.tobytes()
+    x = np.random.Generator(np.random.PCG64(6)).uniform(0, 1, (5, 3))
+    first = forward_sequence(params, x).y
+    assert params.vector.tobytes() == before
+    assert np.array_equal(forward_sequence(params, x).y, first)
+
+
 def test_non_finite_input_reports_its_timestep():
     params = init_params(small_config())
     inputs = np.zeros((6, 3))
@@ -208,6 +227,22 @@ def test_batched_forward_matches_per_sequence():
         for name in ("gates", "cell_states", "block_outputs", "y"):
             np.testing.assert_allclose(getattr(batched, name)[owner == n],
                                        getattr(alone, name), rtol=0, atol=1e-12)
+
+
+def test_batched_forward_of_equal_lengths_matches_per_sequence():
+    # Pieces of one length run as one batch of 4 over every step, so each
+    # gate row is written back from its step's (4, a, B) block.
+    params = init_params(small_config(num_inputs=88, num_blocks=32, num_outputs=88))
+    rng = np.random.Generator(np.random.PCG64(8))
+    seqs = [(rng.uniform(0, 1, (23, 88)) < 0.1).astype(float) for _ in range(4)]
+    inputs, batch_sizes = pack(seqs)
+    assert set(batch_sizes.tolist()) == {4}
+    batched = forward_sequence(params, inputs, batch_sizes)
+    for n, seq in enumerate(seqs):
+        alone = forward_sequence(params, seq)
+        for name in ("gates", "cell_states", "block_outputs", "y"):
+            np.testing.assert_allclose(getattr(batched, name)[n::4], getattr(alone, name),
+                                       rtol=0, atol=1e-12)
 
 
 def test_batched_non_finite_input_reports_its_timestep():
