@@ -41,13 +41,17 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     see `forward_sequence`); `targets` has its row layout. Error flows
     back through both recurrences across every timestep or, with a
     `window`, only within each chunk of `window` steps (truncated BPTT).
-    The loop carries only the gate deltas; the weight gradients are
-    blocked products over all rows afterwards.
+    The loop carries only the gate deltas, held in the trace's gate rows;
+    the weight gradients are blocked products over all rows afterwards.
+    The trace is spent (see `ForwardTrace`): a second backward raises.
     """
+    if trace.spent:
+        raise ValueError("this trace was consumed by an earlier backward")
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != trace.y.shape:
         raise LengthMismatch(f"targets {targets.shape} vs trace {trace.y.shape}")
     runs = packed_runs(trace.batch_sizes, len(trace))
+    trace.spent = True
     nb = params.num_blocks
     x, cells, outputs, y = trace.x, trace.cell_states, trace.block_outputs, trace.y
     grads = params.zeros_like()
@@ -63,32 +67,35 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
             run = dz_y[row : row + steps * a].reshape(steps, a, -1)
             run /= per_piece[:a]
         dz_y *= y
-        dz_y *= 1.0 - y
+        dz_y *= np.subtract(1.0, y, out=y)
         _blocked_product(dz_y, outputs, grads.w_out)
         np.sum(dz_y, axis=0, out=grads.b_out)
         d_out = dz_y @ params.w_out  # error reaching each h_t
         del dz_y, run  # run is a view of dz_y
 
-        # d(gate pre-activation) per unit of dh (o) or of dc (i, f, c); each
-        # step below scales its rows into that step's gate deltas. Sigmoid
-        # gate s: (tanh c for o, g for i, c_{t-1} for f) * s * (1 - s). Built
-        # in place, dz_c holding each 1 - s, to bound the memory of a corpus.
-        dz = np.empty_like(trace.gates)  # (rows, 4B) as the gates; both split as (4, rows, B)
-        _, sig, o, i, f, g = gate_views(trace.gates.reshape(-1, 4, nb).swapaxes(0, 1))
-        _, dz_sig, dz_o, dz_i, dz_f, dz_c = gate_views(dz.reshape(-1, 4, nb).swapaxes(0, 1))
-        tc = np.tanh(cells, out=dz_o)
-        dc_dh = tc * tc
+        # The gate rows become deltas per unit of dh (o) or dc (i, f, c), which
+        # each step below scales: (1 - s) * (x * s) for sigmoid gate s, x being
+        # c_{t-1}, tanh c or g for f, o or i, and (1 - g^2) * i. Cells are scratch.
+        dz = trace.gates
+        _, _, o, i, f, g = gate_views(dz.reshape(-1, 4, nb).swapaxes(0, 1))
+        f_carry, dc_dh = f.copy(), np.empty_like(cells)
+        _previous_rows(cells, runs, dc_dh)  # c_{t-1}, c_{-1} = 0
+        dc_dh *= f
+        np.subtract(1.0, f, out=f)
+        f *= dc_dh
+        tc = np.tanh(cells, out=cells)
+        np.multiply(tc, tc, out=dc_dh)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o
-        dz_i[...] = g
-        _previous_rows(cells, runs, dz_f)  # c_{t-1}, c_{-1} = 0
-        dz_sig *= sig
-        for s, dz_s in ((o, dz_o), (i, dz_i), (f, dz_f)):
-            np.subtract(1.0, s, out=dz_c)
-            dz_s *= dz_c
-        np.multiply(g, g, out=dz_c)
-        np.subtract(1.0, dz_c, out=dz_c)
-        dz_c *= i
+        tc *= o
+        np.subtract(1.0, o, out=o)
+        o *= tc
+        gi = np.multiply(g, i, out=cells)
+        g *= g
+        np.subtract(1.0, g, out=g)
+        g *= i
+        np.subtract(1.0, i, out=i)
+        i *= gi
 
         # Sequences run longest first, so walking the runs backward the batch
         # only grows; the carries of a sequence that ends in a run start at 0.
@@ -97,7 +104,7 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
             dh, dc, dh_carry, dc_carry = carried[:, :a]
             dc_ifc = dc[..., None, :]  # dc broadcast over the i, f and c rows
             d_out_r, dc_dh_r, f_r, dz_o_r, dz_r = (v[row : row + steps * a].reshape(steps, a, -1)
-                                                   for v in (d_out, dc_dh, f, dz_o, dz))
+                                                   for v in (d_out, dc_dh, f_carry, o, dz))
             per_step = (d_out_r, dc_dh_r, f_r, dz_o_r, dz_r.reshape(steps, a, 4, nb)[:, :, 1:], dz_r)
             for t, d_out_t, dc_dh_t, f_t, dz_o_t, dz_ifc_t, dz_t in zip(
                     range(first + steps - 1, first - 1, -1), *(v[::-1] for v in per_step)):

@@ -50,6 +50,9 @@ def _roll_model(path: str):
 
 
 def cmd_train(args, config: RunConfig) -> int:
+    for path in filter(None, (args.out, args.history)):  # before the run, not after
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise Error(f"directory of {path} not found")
     rolls = _split(args, "train", config.step_fraction)
     params, history = runner.train(rolls, init_params(config.network),
                                    config.optimizer_config(), config.train, log=print)

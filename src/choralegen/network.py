@@ -170,7 +170,8 @@ def _lstm_cell(pre: np.ndarray, views: tuple, c: np.ndarray, c_out: np.ndarray, 
 @dataclass
 class ForwardTrace:
     """Per-row activations, everything exact BPTT needs, in the packed
-    layout of the inputs (see `forward_sequence`)."""
+    layout of the inputs (see `forward_sequence`). `bptt.backward` spends
+    the trace: it writes over gates, cell_states and y and sets `spent`."""
 
     x: np.ndarray            # (rows, num_inputs)
     gates: np.ndarray        # (rows, 4B): sigmoid o, i, f then tanh cell input
@@ -178,6 +179,7 @@ class ForwardTrace:
     block_outputs: np.ndarray
     y: np.ndarray            # (rows, num_outputs) predictions in (0, 1)
     batch_sizes: np.ndarray | None  # None: one sequence
+    spent: bool = False
 
     def __len__(self) -> int:
         return self.x.shape[0]

@@ -96,9 +96,8 @@ def test_overflowing_gradient_raises_non_finite_gradient():
 
 def test_loss_scaling_scales_gradients():
     params, inputs, targets = random_instance(4)
-    trace = forward_sequence(params, inputs)
-    g1 = backward(params, trace, targets)
-    g2 = backward(params, trace, targets, loss_scale=2.5)
+    g1 = backward(params, forward_sequence(params, inputs), targets)
+    g2 = backward(params, forward_sequence(params, inputs), targets, loss_scale=2.5)
     assert np.allclose(g2.flatten(), 2.5 * g1.flatten(), rtol=1e-12, atol=0)
 
 
@@ -171,10 +170,9 @@ def per_step_reference(params, inputs, targets, window=None):
 @pytest.mark.parametrize("seed", range(4))
 def test_matches_per_step_reference(seed):
     params, inputs, targets = random_instance(seed, ni=4, nb=5, no=3, length=9)
-    trace = forward_sequence(params, inputs)
     y, expected = per_step_reference(params, inputs, targets)
-    grads = backward(params, trace, targets)
-    assert np.allclose(trace.y, y, rtol=1e-13, atol=0)
+    assert np.allclose(forward_sequence(params, inputs).y, y, rtol=1e-13, atol=0)
+    grads = backward(params, forward_sequence(params, inputs), targets)
     scale = np.max(np.abs(expected.flatten()))
     assert np.max(np.abs(grads.flatten() - expected.flatten())) <= 1e-12 * scale
 
@@ -230,24 +228,28 @@ def test_gradient_matches_finite_differences_on_ragged_batch():
 def test_truncated_batch_matches_per_piece_chunks():
     lengths = (9, 6, 11)
     params, pieces, inputs, targets, batch_sizes = ragged_batch(8, lengths, ni=3, nb=4, no=3)
-    trace = forward_sequence(params, inputs, batch_sizes)
-    batched = backward(params, trace, targets, window=4)
+    batched = backward(params, forward_sequence(params, inputs, batch_sizes), targets, window=4)
     expected = sum(per_step_reference(params, x, y, window=4)[1].vector for x, y in pieces)
     assert max_norm_close(batched.vector, expected, 1e-12)
-    full = backward(params, trace, targets)
+    full = backward(params, forward_sequence(params, inputs, batch_sizes), targets)
     assert not max_norm_close(full.vector, expected, 1e-6)
 
 
 
 @pytest.mark.parametrize("window", [None, 4])
-def test_backward_leaves_its_operands_unchanged(window):
-    # backward works in buffers of its own: the trace of a ragged packed
-    # corpus, its targets and the weights keep every byte, so the same
-    # trace differentiates again to the same gradient.
+def test_backward_spends_its_trace_and_nothing_else(window):
+    # backward writes its deltas over the trace's gates, cell states and y;
+    # the weights, the targets, the inputs and the block outputs keep every
+    # byte. A fresh forward differentiates to the same gradient, and the
+    # spent trace cannot be differentiated again.
     params, _, inputs, targets, batch_sizes = ragged_batch(5, (9, 6, 11, 6), ni=3, nb=4, no=3)
     trace = forward_sequence(params, inputs, batch_sizes)
-    operands = [getattr(trace, f.name) for f in dataclasses.fields(trace)] + [targets, params.vector]
+    operands = [params.vector, targets, trace.x, trace.block_outputs]
     before = [a.tobytes() for a in operands]
     first = backward(params, trace, targets, window=window)
     assert [a.tobytes() for a in operands] == before
-    assert backward(params, trace, targets, window=window).vector.tobytes() == first.vector.tobytes()
+    again = backward(params, forward_sequence(params, inputs, batch_sizes), targets, window=window)
+    assert again.vector.tobytes() == first.vector.tobytes()
+    assert trace.spent
+    with pytest.raises(ValueError, match="consumed"):
+        backward(params, trace, targets, window=window)

@@ -357,6 +357,21 @@ def test_train_without_a_corpus_exit_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "m.chlf").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--history"])
+def test_train_output_in_a_missing_directory_exit_1_before_the_corpus_is_read(
+        workspace, capsys, flag):
+    # The corpus is not read (no warning for its corrupt file) and no
+    # epoch runs: the run would be lost when its model or history is written.
+    (workspace / "corpus" / "train" / "bad.mid").write_bytes(b"garbage")
+    missing = workspace / "nope" / "out"
+    args = train_args(workspace) + [flag, str(missing)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: directory of {missing} not found"]
+    assert captured.out == ""
+    assert not (workspace / "model.chlf").exists()
+
+
 def test_bad_config_exit_1(workspace, capsys):
     (workspace / "run.cfg").write_text("bogus_key = 1")
     assert main(train_args(workspace)) == 1
