@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyAfterQuantization, EmptyCorpus, Error, TooLong, TooShort
-from .smf import NoteEvent, note_array, parse_midi, write_messages
+from .smf import checked_notes, parse_midi, write_messages
 
 NUM_PITCHES = 88
 MIN_PITCH = 21  # A0
@@ -106,19 +106,19 @@ def frame_pack(rolls: list[PianoRoll]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return inputs, targets, batch_sizes, rows
 
 
-def quantize(events: list[NoteEvent], spec: QuantizationSpec,
-             source_id: str = "") -> PianoRoll:
-    """Snap note events onto the step grid as binary frames.
+def quantize(notes, spec: QuantizationSpec, source_id: str = "") -> PianoRoll:
+    """Snap notes (see `smf.checked_notes`) onto the step grid as binary frames.
 
     Onsets/offsets round half-up to the nearest grid line; notes that
     would vanish are kept at one step. Out-of-range pitches are folded
     by octaves into the roll's range. A roll longer than MAX_STEPS
     raises TooLong before it is allocated.
     """
-    if not events:
+    notes = checked_notes(notes)
+    if not notes.size:
         raise EmptyAfterQuantization("no events to quantize")
-    pitch, onset, duration = note_array(events).T
-    ticks = np.stack([onset, onset + duration])
+    pitch, onset = notes["pitch"], notes["onset_ticks"]
+    ticks = np.stack([onset, onset + notes["duration_ticks"]])
     # Any step longer than twice the last tick rounds every edge to 0, so
     # capping it there changes nothing and keeps the sums inside int64.
     tps = min(spec.ticks_per_step, 2 * int(ticks[1].max()) + 1)
@@ -169,9 +169,9 @@ def load_roll(path: str, step_fraction: float) -> tuple[PianoRoll, QuantizationS
     step. Returns the roll, named after the file, and the spec that
     `render_midi` needs to write it back at the same tempo."""
     with open(path, "rb") as fh:
-        events, ppq = parse_midi(fh.read())
+        notes, ppq = parse_midi(fh.read())
     spec = QuantizationSpec.for_ppq(ppq, step_fraction)
-    return quantize(events, spec, os.path.basename(path)), spec
+    return quantize(notes, spec, os.path.basename(path)), spec
 
 
 @dataclass

@@ -9,10 +9,6 @@ from __future__ import annotations
 
 import struct
 from collections import defaultdict, deque
-from functools import partial
-from itertools import chain
-from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,42 +18,32 @@ WRITE_VELOCITY = 80
 WRITE_TEMPO_US = 500_000  # 120 BPM
 
 
-class _NoteFields(NamedTuple):
-    pitch: int
-    onset_ticks: int
-    duration_ticks: int
-    track: int = 0
+# One sounding note in absolute MIDI ticks; a record dtype, so `note.pitch` reads a field.
+NOTE = np.dtype((np.record, [(name, np.int64) for name in
+                             ("pitch", "onset_ticks", "duration_ticks", "track")]))
 
 
-class NoteEvent(_NoteFields):
-    """One sounding note in absolute MIDI ticks, an immutable tuple
-    (pitch, onset_ticks, duration_ticks, track). The constructor checks
-    0 <= pitch <= 127, onset_ticks >= 0, duration_ticks >= 1 and that the
-    note ends before tick 2^63, so its ticks fit int64 arrays."""
-
-    __slots__ = ()
-
-    def __new__(cls, pitch: int, onset_ticks: int, duration_ticks: int, track: int = 0):
-        if not 0 <= pitch <= 127:
-            raise ValueError(f"pitch {pitch} outside 0..127")
-        if onset_ticks < 0:
-            raise ValueError("onset_ticks must be >= 0")
-        if duration_ticks < 1:
-            raise ValueError("duration_ticks must be >= 1")
-        if onset_ticks + duration_ticks >= 1 << 63:
-            raise ValueError("note must end before tick 2^63")
-        return tuple.__new__(cls, (pitch, onset_ticks, duration_ticks, track))
-
-    @classmethod
-    def _make(cls, iterable):  # also behind _replace; the tuple base skips __new__
-        return cls(*iterable)
-
-
-def note_array(events: list[NoteEvent]) -> np.ndarray:
-    """The events' (pitch, onset_ticks, duration_ticks) as an (n, 3) int64
-    array; the track is left out."""
-    fields = chain.from_iterable(map(itemgetter(0, 1, 2), events))
-    return np.fromiter(fields, np.int64, 3 * len(events)).reshape(-1, 3)
+def checked_notes(notes) -> np.ndarray:
+    """`notes`, a NOTE array or a list of 4-tuples in its field order, as a
+    NOTE array. Raises ValueError for an ndarray of another dtype, which is
+    not cast, and names the field of a note that breaks a rule: 0 <= pitch
+    <= 127, onset_ticks >= 0, duration_ticks >= 1, an end before tick 2^63."""
+    if isinstance(notes, np.ndarray) and notes.dtype != NOTE:
+        raise ValueError(f"notes must be a NOTE array, not {notes.dtype}")
+    try:
+        notes = np.asarray(notes, NOTE)
+    except OverflowError:  # a Python int past int64
+        raise ValueError("note fields must fit int64, and end before tick 2^63") from None
+    pitch, onset, duration = notes["pitch"], notes["onset_ticks"], notes["duration_ticks"]
+    if pitch.min(initial=0) < 0 or pitch.max(initial=0) > 127:
+        raise ValueError("pitch outside 0..127")
+    if onset.min(initial=0) < 0:
+        raise ValueError("onset_ticks must be >= 0")
+    if duration.min(initial=1) < 1:
+        raise ValueError("duration_ticks must be >= 1")
+    if (duration > (1 << 63) - 1 - onset).any():  # onset + duration >= 2^63
+        raise ValueError("onset_ticks + duration_ticks must stay below 2^63")
+    return notes
 
 
 def _read_vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
@@ -140,12 +126,13 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
             notes.extend((pitch, onset, max(1, tick - onset), track) for onset in queue)
 
 
-def parse_midi(data: bytes) -> tuple[list[NoteEvent], int]:
-    """Parse SMF bytes into note events merged across tracks.
+def parse_midi(data: bytes) -> tuple[np.recarray, int]:
+    """Parse SMF bytes into the notes of every track, merged.
 
-    Returns (events, ticks_per_quarter_note). Events are sorted by
-    (onset, pitch, track). Note-on with velocity 0 counts as note-off, and
-    a pitch's note-offs close its sounding notes first in, first out.
+    Returns (notes, ticks_per_quarter_note), the notes a NOTE record array
+    sorted by (onset, pitch, track). Note-on with velocity 0 counts as
+    note-off, and a pitch's note-offs close its sounding notes first in,
+    first out.
     """
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedMidi("missing MThd header")
@@ -180,9 +167,10 @@ def parse_midi(data: bytes) -> tuple[list[NoteEvent], int]:
         raise MalformedMidi("no MTrk chunk found")
 
     # A stable sort: notes tied on (onset, pitch, track) keep the order
-    # their track closed them in. Each passes NoteEvent's checks already.
-    notes.sort(key=itemgetter(1, 0, 3))
-    return list(map(partial(tuple.__new__, NoteEvent), notes)), division
+    # their track closed them in. Each keeps NOTE's rules already.
+    notes = np.array(notes, NOTE)
+    notes = notes[np.lexsort((notes["track"], notes["pitch"], notes["onset_ticks"]))]
+    return notes.view(np.recarray), division
 
 
 # A delta time's VLQ is at most four 7-bit groups, at these shifts, most
@@ -192,12 +180,13 @@ _TEMPO = bytes([0x00, 0xFF, 0x51, 0x03]) + WRITE_TEMPO_US.to_bytes(3, "big")
 _END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])
 
 
-def write_midi(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
-    """Serialize note events as a single-track format-0 SMF with `write_messages`."""
-    pitch, onset, duration = note_array(events).T
+def write_midi(notes, ticks_per_quarter: int) -> bytes:
+    """Serialize notes (see `checked_notes`) as a format-0 SMF with `write_messages`."""
+    notes = checked_notes(notes)
+    pitch, onset = notes["pitch"], notes["onset_ticks"]
     # One message per row: every note-off, then every note-on, sorted by
     # tick, note-offs before note-ons at a tick, then pitch.
-    tick = np.concatenate([onset + duration, onset])
+    tick = np.concatenate([onset + notes["duration_ticks"], onset])
     is_on = np.arange(tick.size) >= onset.size
     pitch = np.concatenate([pitch, pitch])
     order = np.lexsort((pitch, is_on, tick))
@@ -208,11 +197,16 @@ def write_messages(tick: np.ndarray, is_on: np.ndarray, pitch: np.ndarray,
                    ticks_per_quarter: int) -> bytes:
     """Serialize note messages, in file order, as a single-track format-0
     SMF: message k turns pitch[k] on if is_on[k], else off, at absolute
-    tick[k]; ticks must not decrease. Raises TooLong if a message comes 2^28
-    ticks or more after the one before (or tick 0), past a 4-byte delta."""
+    tick[k]. Raises ValueError for a pitch outside 0..127, or a tick below 0
+    or the one before, which `parse_midi` would reject or misread; TooLong
+    for a tick 2^28 or more past the one before (or 0), past a 4-byte delta."""
     if ticks_per_quarter < 1 or ticks_per_quarter > 0x7FFF:
         raise ValueError("ticks_per_quarter out of range")
+    if pitch.min(initial=0) < 0 or pitch.max(initial=0) > 127:
+        raise ValueError("pitch outside 0..127")
     delta = np.diff(tick, prepend=0)
+    if delta.min(initial=0) < 0:
+        raise ValueError("ticks must be >= 0 and must not decrease")
     if delta.max(initial=0) >= 1 << 28:
         raise TooLong(f"a gap of {int(delta.max())} ticks between MIDI events "
                       "reaches 2^28, past SMF's 4-byte delta time")

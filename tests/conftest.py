@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from choralegen.pianoroll import PianoRoll, parse_pianoroll_text
+from choralegen.smf import parse_midi
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -44,6 +45,12 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # the class is what is compared
         return type(exc)
+
+
+def parsed(data: bytes) -> tuple[list[tuple], int]:
+    """`parse_midi`'s notes as tuples of Python ints, and the PPQ."""
+    notes, ppq = parse_midi(data)
+    return notes.tolist(), ppq
 
 
 def traced_peak(fn, *args) -> int:

@@ -14,7 +14,7 @@ from choralegen.model_io import load_model, save_model
 from choralegen.network import NetworkConfig, init_params
 from choralegen.pianoroll import (PianoRoll, QuantizationSpec, parse_midi,
                                   quantize, render_midi)
-from choralegen.smf import NoteEvent, write_midi
+from choralegen.smf import write_midi
 
 SPEC = QuantizationSpec(ticks_per_step=240)
 
@@ -140,7 +140,7 @@ def test_generate_keeps_the_seed_note_lengths(workspace):
     # Eight sixteenth-note rows: C4 for 1.5 quarters, then E4 for 0.5.
     (workspace / "run.cfg").write_text("step_fraction = 0.25\nseed_frames = 8\n")
     seed = workspace / "seed.mid"
-    seed.write_bytes(write_midi([NoteEvent(60, 0, 720), NoteEvent(64, 720, 240)], 480))
+    seed.write_bytes(write_midi([(60, 0, 720, 0), (64, 720, 240, 0)], 480))
     out = workspace / "gen.mid"
     assert main(["generate", "--config", str(workspace / "run.cfg"),
                  "--model", untrained_model(workspace), "--seed-midi", str(seed),
@@ -178,7 +178,7 @@ def test_bad_step_fraction_exit_1(workspace, capsys, value):
 
 def huge_midi():
     # One 4-byte delta at PPQ 1: 2^27 eighth-note steps.
-    return write_midi([NoteEvent(60, 0, 1 << 27)], 1)
+    return write_midi([(60, 0, 1 << 27, 0)], 1)
 
 
 @pytest.mark.parametrize("command", ["generate", "reconstruct"])
@@ -215,7 +215,7 @@ def test_silent_rendition_exit_1(workspace, capsys, command):
 
 def test_reconstruct_one_frame_piece_exit_1(workspace, capsys):
     one = workspace / "one.mid"
-    one.write_bytes(write_midi([NoteEvent(60, 0, 240)], 480))  # one eighth-note step
+    one.write_bytes(write_midi([(60, 0, 240, 0)], 480))  # one eighth-note step
     assert main(["reconstruct", "--model", untrained_model(workspace),
                  "--midi", str(one)]) == 1
     err = capsys.readouterr().err
@@ -238,7 +238,7 @@ def test_generate_failed_render_writes_no_file(workspace, capsys):
 
 
 def one_frame_midi():
-    return write_midi([NoteEvent(60, 0, 240)], 480)  # one eighth-note step
+    return write_midi([(60, 0, 240, 0)], 480)  # one eighth-note step
 
 
 def test_train_skips_one_frame_midi(workspace, capsys):

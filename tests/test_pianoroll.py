@@ -15,9 +15,9 @@ from choralegen.pianoroll import (MAX_STEPS, MIN_PITCH, NUM_PITCHES, PianoRoll,
                                   QuantizationSpec, frame_pack, load_corpus,
                                   load_roll, load_split, parse_pianoroll_text, quantize,
                                   render_midi)
-from choralegen.smf import NoteEvent, parse_midi, write_midi
+from choralegen.smf import parse_midi, write_midi
 
-from conftest import outcome, pack, traced_peak
+from conftest import DATA_DIR, outcome, pack, parsed, traced_peak
 
 SPEC = QuantizationSpec(ticks_per_step=240)
 
@@ -38,13 +38,12 @@ def render_reference(roll, spec):
                 on, start = True, t
             elif not v and on:
                 on = False
-                events.append(NoteEvent(MIN_PITCH + col, start * tps, (t - start) * tps))
+                events.append((MIN_PITCH + col, start * tps, (t - start) * tps, 0))
         if on:
-            events.append(NoteEvent(MIN_PITCH + col, start * tps,
-                                    (len(column) - start) * tps))
+            events.append((MIN_PITCH + col, start * tps, (len(column) - start) * tps, 0))
     if not events:
         raise EmptyAfterQuantization("no sounding note")
-    events.sort(key=lambda e: (e.onset_ticks, e.pitch))
+    events.sort(key=lambda e: (e[1], e[0]))
     ppq = min(max(1, round(tps / spec.step_fraction)), 0x7FFF)
     return write_midi(events, ppq)
 
@@ -53,12 +52,11 @@ def quantize_reference(events, spec):
     """Per-event loop with Python integers: the oracle for `quantize`."""
     tps = spec.ticks_per_step
     spans = []
-    for ev in events:
-        start = (2 * ev.onset_ticks + tps) // (2 * tps)
-        end = (2 * (ev.onset_ticks + ev.duration_ticks) + tps) // (2 * tps)
+    for pitch, onset, duration, _ in events:
+        start = (2 * onset + tps) // (2 * tps)
+        end = (2 * (onset + duration) + tps) // (2 * tps)
         if end <= start:
             end = start + 1
-        pitch = ev.pitch
         while pitch < MIN_PITCH:
             pitch += 12
         while pitch > MIN_PITCH + NUM_PITCHES - 1:
@@ -76,39 +74,39 @@ STEP_FRACTIONS = st.sampled_from([0.25, 0.5, 1.0])
 # one pitch likely.
 PITCHES = st.one_of(st.integers(0, 127), st.sampled_from([0, 9, 20, 21, 60, 108, 109, 127]))
 
-EVENTS = st.lists(st.builds(NoteEvent, PITCHES, st.integers(0, 4000),
-                            st.integers(1, 1500)), min_size=1, max_size=30)
+EVENTS = st.lists(st.tuples(PITCHES, st.integers(0, 4000), st.integers(1, 1500), st.just(0)),
+                  min_size=1, max_size=30)
 
 
 def test_a0_two_steps():
-    roll = quantize([NoteEvent(21, 0, 480)], SPEC)
+    roll = quantize([(21, 0, 480, 0)], SPEC)
     assert roll.frames[0][0] == 1.0 and roll.frames[1][0] == 1.0
     assert roll.frames.sum() == 2.0
 
 
 def test_simultaneous_pitches_one_frame():
-    roll = quantize([NoteEvent(60, 0, 240), NoteEvent(64, 0, 240)], SPEC)
+    roll = quantize([(60, 0, 240, 0), (64, 0, 240, 0)], SPEC)
     assert len(roll) == 1
     assert set(np.flatnonzero(roll.frames[0])) == {60 - 21, 64 - 21}
 
 
 def test_low_pitch_octave_folded():
-    roll = quantize([NoteEvent(10, 0, 240)], SPEC)
+    roll = quantize([(10, 0, 240, 0)], SPEC)
     assert np.flatnonzero(roll.frames[0]).tolist() == [22 - 21]
 
 
 def test_high_pitch_octave_folded():
-    roll = quantize([NoteEvent(120, 0, 240)], SPEC)
+    roll = quantize([(120, 0, 240, 0)], SPEC)
     assert np.flatnonzero(roll.frames[0]).tolist() == [108 - 21]
 
 
 def test_short_note_kept_one_step():
-    roll = quantize([NoteEvent(60, 0, 10)], SPEC)
+    roll = quantize([(60, 0, 10, 0)], SPEC)
     assert roll.frames[0][39] == 1.0
 
 
 def test_onset_rounds_half_up():
-    roll = quantize([NoteEvent(60, 120, 240)], SPEC)  # onset exactly halfway
+    roll = quantize([(60, 120, 240, 0)], SPEC)  # onset exactly halfway
     assert roll.frames[1][39] == 1.0 and len(roll) == 2
 
 
@@ -175,7 +173,7 @@ def test_render_merges_consecutive_steps():
     frames = np.zeros((2, 88))
     frames[:, 0] = 1.0
     events, _ = parse_midi(render_midi(PianoRoll(frames), SPEC))
-    assert events == [NoteEvent(21, 0, 480)]
+    assert events.tolist() == [(21, 0, 480, 0)]
 
 
 def test_render_all_zero_roll():
@@ -248,8 +246,8 @@ def test_render_midi_matches_reference(num_frames, density, seed, tps, step_frac
 
 @settings(max_examples=300, deadline=None)
 @given(EVENTS, st.one_of(st.integers(1, 500), st.just(10**20)))
-@example([NoteEvent(60, 0, 100), NoteEvent(60, 50, 400), NoteEvent(72, 119, 2)], 240)
-@example([NoteEvent(0, 120, 1), NoteEvent(127, 359, 1)], 240)
+@example([(60, 0, 100, 0), (60, 50, 400, 0), (72, 119, 2, 0)], 240)
+@example([(0, 120, 1, 0), (127, 359, 1, 0)], 240)
 def test_quantize_matches_reference(events, tps):
     spec = QuantizationSpec(tps)
     assert np.array_equal(quantize(events, spec).frames, quantize_reference(events, spec))
@@ -290,24 +288,24 @@ def test_arbitrary_bytes_quantize_or_raise_documented_errors(data, step_fraction
 
 def test_quantize_bound_is_inclusive(monkeypatch):
     monkeypatch.setattr(pianoroll, "MAX_STEPS", 4)
-    assert len(quantize([NoteEvent(60, 0, 4 * 240)], SPEC)) == 4
+    assert len(quantize([(60, 0, 4 * 240, 0)], SPEC)) == 4
     with pytest.raises(TooLong):
-        quantize([NoteEvent(60, 0, 4 * 240 + 120)], SPEC)  # rounds up to step 5
+        quantize([(60, 0, 4 * 240 + 120, 0)], SPEC)  # rounds up to step 5
     with pytest.raises(TooLong):
-        quantize([NoteEvent(60, 4 * 240, 1)], SPEC)  # kept at one step: 4..5
+        quantize([(60, 4 * 240, 1, 0)], SPEC)  # kept at one step: 4..5
 
 
 def test_quantize_refuses_a_2_27_tick_note():
     # One 4-byte delta at PPQ 1 spans 2^27 steps, about 94 GB of frames;
     # only the bound stands between this file and that allocation.
-    events, ppq = parse_midi(write_midi([NoteEvent(60, 0, 1 << 27)], 1))
+    events, ppq = parse_midi(write_midi([(60, 0, 1 << 27, 0)], 1))
     assert ppq == 1 and events[0].duration_ticks == 1 << 27
     with pytest.raises(TooLong, match="MAX_STEPS"):
         quantize(events, QuantizationSpec.for_ppq(ppq))
 
 
 def test_render_refuses_ticks_past_2_63():
-    # NoteEvent ticks must fit int64; 2 steps of 2^62 ticks end at 2^63.
+    # NOTE ticks must fit int64; 2 steps of 2^62 ticks end at 2^63.
     roll = PianoRoll(np.ones((2, 88)))
     with pytest.raises(TooLong, match="2\\^28"):  # renderable ticks, but no 4-byte delta
         render_midi(roll, QuantizationSpec((1 << 62) - 1))
@@ -343,9 +341,9 @@ def test_for_ppq_rejects_a_ppq_below_1(ppq):
 def max_steps_quantize_peak():
     """`quantize`'s traced peak on notes that make a MAX_STEPS roll, in rolls."""
     rng = np.random.Generator(np.random.PCG64(3))
-    events = [NoteEvent(int(p), int(o), int(d)) for p, o, d in zip(
+    events = [(int(p), int(o), int(d), 0) for p, o, d in zip(
         rng.integers(0, 128, 3000), rng.integers(0, (MAX_STEPS - 8) * 240, 3000),
-        rng.integers(1, 2000, 3000))] + [NoteEvent(60, 0, MAX_STEPS * 240)]
+        rng.integers(1, 2000, 3000))] + [(60, 0, MAX_STEPS * 240, 0)]
     roll_bytes = quantize(events, SPEC).frames.nbytes
     assert roll_bytes == MAX_STEPS * NUM_PITCHES * 8
     return traced_peak(quantize, events, SPEC) / roll_bytes
@@ -380,17 +378,26 @@ def test_piano_roll_accepts_exactly_0_and_1(value, accepted):
 
 def test_load_roll_spec_carries_the_step_length(tmp_path):
     path = tmp_path / "sixteenths.mid"
-    path.write_bytes(write_midi([NoteEvent(60, 0, 720), NoteEvent(64, 720, 240)], 480))
+    path.write_bytes(write_midi([(60, 0, 720, 0), (64, 720, 240, 0)], 480))
     roll, spec = load_roll(str(path), 0.25)
     assert spec == QuantizationSpec(120, 0.25)
     assert roll.source_id == "sixteenths.mid" and len(roll) == 8
-    assert parse_midi(render_midi(roll, spec)) == parse_midi(path.read_bytes())
+    assert parsed(render_midi(roll, spec)) == parsed(path.read_bytes())
+
+
+def test_chorale64_mid_loads_as_the_chorale64_fixture(chorale64):
+    path = os.path.join(DATA_DIR, "chorale64.mid")
+    roll, spec = load_roll(path, 0.5)
+    assert spec == QuantizationSpec(240, 0.5)
+    assert len(roll) == 64 and np.array_equal(roll.frames, chorale64.frames)
+    with open(path, "rb") as fh:  # the file is the fixture as render_midi writes it
+        assert fh.read() == render_midi(chorale64, spec)
 
 
 @pytest.mark.parametrize("ppq", [1, 3, 5, 480])
 def test_note_length_survives_a_round_trip_at_any_ppq(ppq):
     # At PPQ 1, 3 and 5 an eighth note is not a whole number of ticks.
-    events, ppq = parse_midi(write_midi([NoteEvent(60, 0, 4 * ppq)], ppq))
+    events, ppq = parse_midi(write_midi([(60, 0, 4 * ppq, 0)], ppq))
     spec = QuantizationSpec.for_ppq(ppq, 0.5)
     again, again_ppq = parse_midi(render_midi(quantize(events, spec), spec))
     assert again_ppq == ppq
@@ -463,7 +470,7 @@ def test_load_corpus_empty(tmp_path):
 def test_render_caps_ppq_of_a_ppq_32767_seed():
     # 0.5 quarter notes at PPQ 32767 round to 16384 ticks per step, which
     # would ask for PPQ 32768; the rendered file caps PPQ at 32767.
-    events, ppq = parse_midi(write_midi([NoteEvent(60, 0, 3 * 16384)], 0x7FFF))
+    events, ppq = parse_midi(write_midi([(60, 0, 3 * 16384, 0)], 0x7FFF))
     spec = QuantizationSpec.for_ppq(ppq, 0.5)
     roll = quantize(events, spec)
     again, again_ppq = parse_midi(render_midi(roll, spec))

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choralegen.errors import MalformedMidi, TooLong, UnsupportedFormat
-from choralegen.smf import NoteEvent, parse_midi, write_messages, write_midi
+from choralegen.pianoroll import QuantizationSpec, quantize
+from choralegen.smf import NOTE, parse_midi, write_messages, write_midi
 
-from conftest import outcome
+from conftest import outcome, parsed
 
 
 def header(fmt=0, ntrks=1, division=480):
@@ -49,7 +50,7 @@ def _reference_vlq(data: bytes, pos: int) -> tuple[int, int]:
 _REFERENCE_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
 
 
-def _reference_track(data: bytes, track_index: int) -> list[NoteEvent]:
+def _reference_track(data: bytes, track_index: int) -> list[tuple]:
     events = []
     open_notes = {}  # pitch -> onset ticks, FIFO
     pos = 0
@@ -60,7 +61,7 @@ def _reference_track(data: bytes, track_index: int) -> list[NoteEvent]:
         onsets = open_notes.get(pitch)
         if onsets:
             onset = onsets.pop(0)
-            events.append(NoteEvent(pitch, onset, max(1, now - onset), track_index))
+            events.append((pitch, onset, max(1, now - onset), track_index))
 
     while pos < len(data):
         delta, pos = _reference_vlq(data, pos)
@@ -110,12 +111,13 @@ def _reference_track(data: bytes, track_index: int) -> list[NoteEvent]:
 
     for pitch, onsets in open_notes.items():
         for onset in onsets:
-            events.append(NoteEvent(pitch, onset, max(1, tick - onset), track_index))
+            events.append((pitch, onset, max(1, tick - onset), track_index))
     return events
 
 
-def parse_reference(data: bytes) -> tuple[list[NoteEvent], int]:
-    """Byte-at-a-time SMF reader: the oracle for `parse_midi`."""
+def parse_reference(data: bytes) -> tuple[list[tuple], int]:
+    """Byte-at-a-time SMF reader: the oracle for `parse_midi`, its notes
+    (pitch, onset_ticks, duration_ticks, track) tuples."""
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedMidi("missing MThd header")
     header_len, fmt, ntrks, division = struct.unpack(">IHHH", data[4:14])
@@ -146,18 +148,18 @@ def parse_reference(data: bytes) -> tuple[list[NoteEvent], int]:
             track_index += 1
     if track_index == 0:
         raise MalformedMidi("no MTrk chunk found")
-    events.sort(key=lambda e: (e.onset_ticks, e.pitch, e.track))
+    events.sort(key=lambda e: (e[1], e[0], e[3]))
     return events, division
 
 
-def write_reference(events: list[NoteEvent], ticks_per_quarter: int) -> bytes:
+def write_reference(events: list[tuple], ticks_per_quarter: int) -> bytes:
     """Message-at-a-time SMF writer: the oracle for `write_midi`."""
     if ticks_per_quarter < 1 or ticks_per_quarter > 0x7FFF:
         raise ValueError("ticks_per_quarter out of range")
     channel_events = []
-    for ev in events:
-        channel_events.append((ev.onset_ticks + ev.duration_ticks, 0, 0x80, ev.pitch))
-        channel_events.append((ev.onset_ticks, 1, 0x90, ev.pitch))
+    for pitch, onset, duration, _ in events:
+        channel_events.append((onset + duration, 0, 0x80, pitch))
+        channel_events.append((onset, 1, 0x90, pitch))
     channel_events.sort()
     body = bytearray()
     body += vlq(0) + bytes([0xFF, 0x51, 0x03]) + struct.pack(">I", 500_000)[1:]
@@ -183,14 +185,12 @@ C4_QUARTER = header() + track(
 
 
 def test_single_c4_quarter_note():
-    events, ppq = parse_midi(C4_QUARTER)
-    assert ppq == 480
-    assert events == [NoteEvent(pitch=60, onset_ticks=0, duration_ticks=480)]
+    assert parsed(C4_QUARTER) == ([(60, 0, 480, 0)], 480)
 
 
 def test_empty_track_yields_no_events():
     data = header() + track(bytes([0x00, 0xFF, 0x2F, 0x00]))
-    assert parse_midi(data)[0] == []
+    assert parsed(data)[0] == []
 
 
 def test_running_status_velocity_zero_closes_note():
@@ -198,15 +198,13 @@ def test_running_status_velocity_zero_closes_note():
     body = bytes([0x00, 0x90, 0x3C, 0x50,
                   0x81, 0x70, 0x3C, 0x00,
                   0x00, 0xFF, 0x2F, 0x00])
-    events, _ = parse_midi(header() + track(body))
-    assert events == [NoteEvent(pitch=60, onset_ticks=0, duration_ticks=240)]
+    assert parsed(header() + track(body))[0] == [(60, 0, 240, 0)]
 
 
 def test_unmatched_note_on_closed_at_end_of_track():
     body = bytes([0x00, 0x90, 0x3C, 0x50,
                   0x83, 0x60, 0xFF, 0x2F, 0x00])
-    events, _ = parse_midi(header() + track(body))
-    assert events == [NoteEvent(pitch=60, onset_ticks=0, duration_ticks=480)]
+    assert parsed(header() + track(body))[0] == [(60, 0, 480, 0)]
 
 
 def test_format_1_merges_tracks():
@@ -270,27 +268,17 @@ def test_smpte_division_rejected():
 
 
 def test_write_then_parse_round_trip():
-    notes = [NoteEvent(60, 0, 480), NoteEvent(64, 0, 240), NoteEvent(67, 480, 480)]
-    events, ppq = parse_midi(write_midi(notes, 480))
+    notes = [(60, 0, 480, 0), (64, 0, 240, 0), (67, 480, 480, 0)]
+    events, ppq = parsed(write_midi(notes, 480))
     assert ppq == 480
-    assert sorted((e.pitch, e.onset_ticks, e.duration_ticks) for e in events) == \
-        sorted((n.pitch, n.onset_ticks, n.duration_ticks) for n in notes)
+    assert sorted(events) == sorted(notes)
 
 
 def test_overlapping_notes_of_one_pitch_close_first_in_first_out():
     # C4 on at 0 and again at 10; the offs at 20 and 30 close them in order.
     body = bytes([0x00, 0x90, 0x3C, 0x50, 0x0A, 0x3C, 0x50,
                   0x0A, 0x80, 0x3C, 0x40, 0x0A, 0x3C, 0x40, 0x00, 0xFF, 0x2F, 0x00])
-    events, _ = parse_midi(header() + track(body))
-    assert events == [NoteEvent(60, 0, 20), NoteEvent(60, 10, 20)]
-
-
-def test_note_event_is_a_tuple_record():
-    note = NoteEvent(60, 0, 480)
-    assert note == NoteEvent(pitch=60, onset_ticks=0, duration_ticks=480, track=0)
-    assert tuple(note) == (60, 0, 480, 0) and hash(note) == hash((60, 0, 480, 0))
-    assert (note.pitch, note.onset_ticks, note.duration_ticks, note.track) == (60, 0, 480, 0)
-    assert note._replace(track=2) == NoteEvent(60, 0, 480, 2)
+    assert parsed(header() + track(body))[0] == [(60, 0, 20, 0), (60, 10, 20, 0)]
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -298,11 +286,34 @@ def test_note_event_is_a_tuple_record():
     ((60, -500, 10), "onset_ticks"), ((60, -1, 1), "onset_ticks"),
     ((60, 0, 0), "duration_ticks"), ((60, 1 << 62, 1 << 62), "2\\^63")])
 def test_note_event_rejects_bad_fields(fields, message):
-    with pytest.raises(ValueError, match=message):
-        NoteEvent(*fields)
-    with pytest.raises(ValueError, match=message):
-        NoteEvent(60, 0, 1)._replace(pitch=fields[0], onset_ticks=fields[1],
-                                     duration_ticks=fields[2])
+    # A note that breaks one of NOTE's rules, alone in a list of tuples or
+    # second in a NOTE array: write_midi and quantize refuse it by name.
+    for notes in ([(*fields, 0)], np.array([(60, 0, 1, 0), (*fields, 0)], NOTE)):
+        with pytest.raises(ValueError, match=message):
+            write_midi(notes, 480)
+        with pytest.raises(ValueError, match=message):
+            quantize(notes, QuantizationSpec(240))
+
+
+@pytest.mark.parametrize("fields", [(60, 1 << 63, 1), (60, 0, 1 << 64), (1 << 63, 0, 1)])
+def test_note_with_a_field_past_int64_is_refused(fields):
+    # No NOTE field holds these Python ints: ValueError, not OverflowError.
+    with pytest.raises(ValueError, match="int64"):
+        write_midi([(*fields, 0)], 480)
+    with pytest.raises(ValueError, match="int64"):
+        quantize([(*fields, 0)], QuantizationSpec(240))
+
+
+@pytest.mark.parametrize("notes", [
+    pytest.param(np.ones((1, 4), np.int64), id="int64-rows"),
+    pytest.param(np.array([(60, 0, 480, 0)], [(name, np.int32) for name in NOTE.names]),
+                 id="int32-fields")])
+def test_notes_of_another_dtype_are_refused_not_cast(notes):
+    # np.asarray(notes, NOTE) would make four notes of each int64 row.
+    with pytest.raises(ValueError, match="NOTE array"):
+        write_midi(notes, 480)
+    with pytest.raises(ValueError, match="NOTE array"):
+        quantize(notes, QuantizationSpec(240))
 
 
 # Track events as (delta, event) byte pieces: notes on and off on a few
@@ -365,19 +376,38 @@ NOTE_FILES = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(NOTE_FILES)
 def test_parse_midi_matches_reference_on_note_files(data):
-    assert parse_midi(data) == parse_reference(data)
+    assert parsed(data) == parse_reference(data)
+
+
+SMF_BYTES = st.one_of(st.binary(max_size=100),
+                      st.binary(max_size=60).map(lambda body: header() + track(body)),
+                      SOUPS,
+                      SOUPS.flatmap(lambda data: st.integers(0, len(data)).map(lambda n: data[:n])))
+TWO_TRACKS = (header(ntrks=2) + track(b"\x00\x90\x3c\x40\x00\x90\x3c\x40\x10\x3c\x00")
+              + track(b"\x00\x91\x3c\x40"))
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(st.binary(max_size=100),
-                 st.binary(max_size=60).map(lambda body: header() + track(body)),
-                 SOUPS,
-                 SOUPS.flatmap(lambda data: st.integers(0, len(data)).map(lambda n: data[:n]))))
-@example(header(ntrks=2) + track(b"\x00\x90\x3c\x40\x00\x90\x3c\x40\x10\x3c\x00")
-         + track(b"\x00\x91\x3c\x40"))
+@given(SMF_BYTES)
+@example(TWO_TRACKS)
 @example(header() + track(b"\x00\x90\x3c\x40\x81\x80\x80\x80\x00\x80\x3c\x40"))  # 5-byte delta
 def test_parse_midi_matches_reference(data):
-    assert outcome(parse_midi, data) == outcome(parse_reference, data)
+    assert outcome(parsed, data) == outcome(parse_reference, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(NOTE_FILES, SMF_BYTES))
+@example(TWO_TRACKS)
+def test_parsed_notes_read_as_records_and_as_int_tuples(data):
+    # The benchmark's corpus check reads each parsed note by field name,
+    # or as a tuple of ints. A plain (n, 4) int array has no field names.
+    expected = outcome(parse_reference, data)
+    if isinstance(expected, type):  # an error: test_parse_midi_matches_reference
+        return
+    notes, _ = parse_midi(data)
+    assert notes.dtype == NOTE
+    assert [(e.pitch, e.onset_ticks, e.duration_ticks, e.track) for e in notes] == expected[0]
+    assert [tuple(map(int, e)) for e in notes] == expected[0]
 
 
 # Ticks on each side of each VLQ width boundary from 1 to 6 bytes, and
@@ -385,7 +415,7 @@ def test_parse_midi_matches_reference(data):
 _BOUNDARY_TICKS = [0, 1, 127, 128, 16383, 16384, (1 << 21) - 1, 1 << 21,
                    (1 << 28) - 1, 1 << 28, (1 << 35) - 1, 1 << 35, 1 << 42, 1 << 56]
 _TICKS = st.one_of(st.sampled_from(_BOUNDARY_TICKS), st.integers(0, 2000))
-_WRITE_EVENTS = st.lists(st.builds(NoteEvent, st.sampled_from([0, 21, 60, 61, 127]),
+_WRITE_EVENTS = st.lists(st.tuples(st.sampled_from([0, 21, 60, 61, 127]),
                                    _TICKS, _TICKS.map(lambda t: max(t, 1)),
                                    st.integers(0, 3)), max_size=12)
 
@@ -394,9 +424,8 @@ def _with_abutting_and_duplicate(events):
     # A note starting where the first ends (an off and an on at one tick)
     # and a second copy of the last note.
     if events:
-        first = events[0]
-        events = events + [NoteEvent(61, first.onset_ticks + first.duration_ticks, 5),
-                           events[-1]]
+        _, onset, duration, _ = events[0]
+        events = events + [(61, onset + duration, 5, 0), events[-1]]
     return events
 
 
@@ -411,7 +440,18 @@ def test_write_midi_matches_reference(events, ticks_per_quarter):
 def test_write_midi_rejects_bad_ppq():
     for ppq in (0, 0x8000):
         with pytest.raises(ValueError, match="ticks_per_quarter"):
-            write_midi([NoteEvent(60, 0, 1)], ppq)
+            write_midi([(60, 0, 1, 0)], ppq)
         with pytest.raises(ValueError, match="ticks_per_quarter"):
             write_messages(np.array([0]), np.array([True]), np.array([60]), ppq)
 
+
+
+@pytest.mark.parametrize("tick, pitch, message", [
+    pytest.param([0, 10], [200, 200], "pitch outside 0..127", id="pitch-200"),
+    pytest.param([5, 3], [60, 60], "must not decrease", id="ticks-5-3"),
+    pytest.param([-4, 0], [60, 60], ">= 0", id="ticks-minus-4-0")])
+def test_write_messages_refuses_what_parse_midi_would_misread(tick, pitch, message):
+    # Written, these read back as MalformedMidi, one note at tick 5 that is
+    # 126 ticks long, and one note at tick 124.
+    with pytest.raises(ValueError, match=message):
+        write_messages(np.array(tick), np.array([True, False]), np.array(pitch), 480)
