@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteGradient
-from .network import ForwardTrace, NetworkParams, forward_sequence, gate_views, packed_runs
+from .network import ForwardTrace, NetworkParams, forward_sequence, gate_views
 
 # Rows per block of the weight-gradient sums. Each block is one matrix
 # product whose reduction is short enough that OpenBLAS rounds it the same
@@ -37,10 +37,10 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     """dE/dtheta for E = loss_scale * sum_n mse_n, mse_n being the mean
     squared error over the T_n rows of sequence n.
 
-    The trace holds one sequence or a packed corpus (its `batch_sizes`,
-    see `forward_sequence`); `targets` has its row layout. Error flows
-    back through both recurrences across every timestep or, with a
-    `window`, only within each chunk of `window` steps (truncated BPTT).
+    The trace holds one sequence or a packed corpus, in the runs its
+    forward validated; `targets` has its row layout. Error flows back
+    through both recurrences across every timestep or, with a `window`,
+    only within each chunk of `window` steps (truncated BPTT).
     The loop carries only the gate deltas, held in the trace's gate rows;
     the weight gradients are blocked products over all rows afterwards.
     The trace is spent (see `ForwardTrace`): a second backward raises.
@@ -50,9 +50,8 @@ def backward(params: NetworkParams, trace: ForwardTrace, targets: np.ndarray,
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != trace.y.shape:
         raise LengthMismatch(f"targets {targets.shape} vs trace {trace.y.shape}")
-    runs = packed_runs(trace.batch_sizes, len(trace))
     trace.spent = True
-    nb = params.num_blocks
+    nb, runs = params.num_blocks, trace.runs
     x, cells, outputs, y = trace.x, trace.cell_states, trace.block_outputs, trace.y
     grads = params.zeros_like()
     # A NaN or inf is reported below, from the gradient.

@@ -169,16 +169,16 @@ def _lstm_cell(pre: np.ndarray, views: tuple, c: np.ndarray, c_out: np.ndarray, 
 
 @dataclass
 class ForwardTrace:
-    """Per-row activations, everything exact BPTT needs, in the packed
-    layout of the inputs (see `forward_sequence`). `bptt.backward` spends
-    the trace: it writes over gates, cell_states and y and sets `spent`."""
+    """Everything exact BPTT needs: per-row activations in the packed layout
+    of the inputs, and its `runs` as the forward validated them. `bptt.backward`
+    spends the trace: it writes over gates, cell_states and y and sets `spent`."""
 
     x: np.ndarray            # (rows, num_inputs)
     gates: np.ndarray        # (rows, 4B): sigmoid o, i, f then tanh cell input
     cell_states: np.ndarray  # (rows, B)
     block_outputs: np.ndarray
     y: np.ndarray            # (rows, num_outputs) predictions in (0, 1)
-    batch_sizes: np.ndarray | None  # None: one sequence
+    runs: list[tuple[int, int, int, int]]  # packed_runs of the forward's batch sizes
     spent: bool = False
 
     def __len__(self) -> int:
@@ -192,22 +192,17 @@ def packed_runs(batch_sizes, rows: int) -> list[tuple[int, int, int, int]]:
     Raises LengthMismatch unless the batch sizes are positive integers,
     non-increasing and summing to `rows`.
     """
-    if batch_sizes is None:
-        return [(0, 0, rows, 1)]
-    sizes = np.asarray(batch_sizes)
-    message = f"batch sizes must be positive integers, non-increasing and summing to {rows}"
-    if sizes.ndim != 1 or sizes.dtype.kind not in "iu" or not sizes.size:
-        raise LengthMismatch(message)
-    values = sizes.tolist()
-    ends = [t + 1 for t in np.nonzero(sizes[1:] != sizes[:-1])[0].tolist()] + [len(values)]
-    runs, row, first = [], 0, 0
-    for end in ends:
-        runs.append((first, row, end - first, values[first]))
-        row += (end - first) * values[first]
-        first = end
+    sizes = np.ones(rows, np.int64) if batch_sizes is None else np.asarray(batch_sizes)
+    runs, first, row = [], 0, 0
+    if sizes.ndim == 1 and sizes.dtype.kind in "iu" and sizes.size and sizes[-1] >= 1:
+        for end in [*(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), sizes.size]:
+            runs.append((first, row, end - first, int(sizes[first])))
+            row += (end - first) * runs[-1][3]
+            first = end
     # Neighbouring runs differ in size, so non-increasing means each is smaller.
-    if row != rows or values[-1] < 1 or any(b[3] > a[3] for a, b in zip(runs, runs[1:])):
-        raise LengthMismatch(message)
+    if not runs or row != rows or any(b[3] > a[3] for a, b in zip(runs, runs[1:])):
+        raise LengthMismatch("batch sizes must be positive integers, non-increasing "
+                             f"and summing to {rows}")
     return runs
 
 
@@ -263,7 +258,7 @@ def forward_sequence(params: NetworkParams, inputs: np.ndarray,
         raise NonFiniteActivation(next(first + (bad - row) // a
                                        for first, row, steps, a in runs
                                        if bad < row + steps * a))
-    return ForwardTrace(inputs, gates, cells, outputs, y, batch_sizes)
+    return ForwardTrace(inputs, gates, cells, outputs, y, runs)
 
 
 # Kept only because perfbench/tracing.WORK traces it by name (ROADMAP item 1).

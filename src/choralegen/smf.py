@@ -24,16 +24,11 @@ NOTE = np.dtype((np.record, [(name, np.int64) for name in
 
 
 def checked_notes(notes) -> np.ndarray:
-    """`notes`, a NOTE array or a list of 4-tuples in its field order, as a
-    NOTE array. Raises ValueError for an ndarray of another dtype, which is
-    not cast, and names the field of a note that breaks a rule: 0 <= pitch
-    <= 127, onset_ticks >= 0, duration_ticks >= 1, an end before tick 2^63."""
-    if isinstance(notes, np.ndarray) and notes.dtype != NOTE:
-        raise ValueError(f"notes must be a NOTE array, not {notes.dtype}")
-    try:
-        notes = np.asarray(notes, NOTE)
-    except OverflowError:  # a Python int past int64
-        raise ValueError("note fields must fit int64, and end before tick 2^63") from None
+    """`notes` if it is a NOTE array whose notes keep NOTE's rules: 0 <= pitch
+    <= 127, onset_ticks >= 0, duration_ticks >= 1, an end before tick 2^63.
+    Anything else, a list included, raises ValueError naming NOTE or the field."""
+    if not isinstance(notes, np.ndarray) or notes.dtype != NOTE:
+        raise ValueError(f"notes must be a NOTE array, not {getattr(notes, 'dtype', type(notes))}")
     pitch, onset, duration = notes["pitch"], notes["onset_ticks"], notes["duration_ticks"]
     if pitch.min(initial=0) < 0 or pitch.max(initial=0) > 127:
         raise ValueError("pitch outside 0..127")
@@ -204,7 +199,8 @@ def write_messages(tick: np.ndarray, is_on: np.ndarray, pitch: np.ndarray,
         raise ValueError("ticks_per_quarter out of range")
     if pitch.min(initial=0) < 0 or pitch.max(initial=0) > 127:
         raise ValueError("pitch outside 0..127")
-    delta = np.diff(tick, prepend=0)
+    delta = tick.copy()
+    delta[1:] -= tick[:-1]
     if delta.min(initial=0) < 0:
         raise ValueError("ticks must be >= 0 and must not decrease")
     if delta.max(initial=0) >= 1 << 28:

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from choralegen.pianoroll import PianoRoll, parse_pianoroll_text
-from choralegen.smf import parse_midi
+from choralegen.pianoroll import PianoRoll, load_roll
+from choralegen.smf import NOTE, parse_midi
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -47,6 +47,12 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def note_array(notes: list[tuple]) -> np.ndarray:
+    """(pitch, onset_ticks, duration_ticks, track) tuples as the NOTE array
+    that `write_midi` and `quantize` take."""
+    return np.array(notes, NOTE)
+
+
 def parsed(data: bytes) -> tuple[list[tuple], int]:
     """`parse_midi`'s notes as tuples of Python ints, and the PPQ."""
     notes, ppq = parse_midi(data)
@@ -74,9 +80,10 @@ def pack(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_chorale64() -> PianoRoll:
-    """The bundled 64-frame chorale-style fixture of criteria 3 and 7."""
-    with open(os.path.join(DATA_DIR, "chorale64.txt")) as fh:
-        return parse_pianoroll_text(fh.read(), source_id="chorale64")
+    """The bundled 64-frame chorale-style fixture of criteria 3 and 7, read
+    from its MIDI file in eighth-note steps."""
+    roll = load_roll(os.path.join(DATA_DIR, "chorale64.mid"), 0.5)[0]
+    return PianoRoll(roll.frames, source_id="chorale64")
 
 
 @pytest.fixture(scope="session")

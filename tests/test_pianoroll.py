@@ -17,7 +17,7 @@ from choralegen.pianoroll import (MAX_STEPS, MIN_PITCH, NUM_PITCHES, PianoRoll,
                                   render_midi)
 from choralegen.smf import parse_midi, write_midi
 
-from conftest import DATA_DIR, outcome, pack, parsed, traced_peak
+from conftest import DATA_DIR, note_array, outcome, pack, parsed, traced_peak
 
 SPEC = QuantizationSpec(ticks_per_step=240)
 
@@ -45,7 +45,7 @@ def render_reference(roll, spec):
         raise EmptyAfterQuantization("no sounding note")
     events.sort(key=lambda e: (e[1], e[0]))
     ppq = min(max(1, round(tps / spec.step_fraction)), 0x7FFF)
-    return write_midi(events, ppq)
+    return write_midi(note_array(events), ppq)
 
 
 def quantize_reference(events, spec):
@@ -79,40 +79,40 @@ EVENTS = st.lists(st.tuples(PITCHES, st.integers(0, 4000), st.integers(1, 1500),
 
 
 def test_a0_two_steps():
-    roll = quantize([(21, 0, 480, 0)], SPEC)
+    roll = quantize(note_array([(21, 0, 480, 0)]), SPEC)
     assert roll.frames[0][0] == 1.0 and roll.frames[1][0] == 1.0
     assert roll.frames.sum() == 2.0
 
 
 def test_simultaneous_pitches_one_frame():
-    roll = quantize([(60, 0, 240, 0), (64, 0, 240, 0)], SPEC)
+    roll = quantize(note_array([(60, 0, 240, 0), (64, 0, 240, 0)]), SPEC)
     assert len(roll) == 1
     assert set(np.flatnonzero(roll.frames[0])) == {60 - 21, 64 - 21}
 
 
 def test_low_pitch_octave_folded():
-    roll = quantize([(10, 0, 240, 0)], SPEC)
+    roll = quantize(note_array([(10, 0, 240, 0)]), SPEC)
     assert np.flatnonzero(roll.frames[0]).tolist() == [22 - 21]
 
 
 def test_high_pitch_octave_folded():
-    roll = quantize([(120, 0, 240, 0)], SPEC)
+    roll = quantize(note_array([(120, 0, 240, 0)]), SPEC)
     assert np.flatnonzero(roll.frames[0]).tolist() == [108 - 21]
 
 
 def test_short_note_kept_one_step():
-    roll = quantize([(60, 0, 10, 0)], SPEC)
+    roll = quantize(note_array([(60, 0, 10, 0)]), SPEC)
     assert roll.frames[0][39] == 1.0
 
 
 def test_onset_rounds_half_up():
-    roll = quantize([(60, 120, 240, 0)], SPEC)  # onset exactly halfway
+    roll = quantize(note_array([(60, 120, 240, 0)]), SPEC)  # onset exactly halfway
     assert roll.frames[1][39] == 1.0 and len(roll) == 2
 
 
 def test_quantize_empty_raises():
     with pytest.raises(EmptyAfterQuantization):
-        quantize([], SPEC)
+        quantize(note_array([]), SPEC)
 
 
 def test_frame_pack_minimal():
@@ -250,7 +250,8 @@ def test_render_midi_matches_reference(num_frames, density, seed, tps, step_frac
 @example([(0, 120, 1, 0), (127, 359, 1, 0)], 240)
 def test_quantize_matches_reference(events, tps):
     spec = QuantizationSpec(tps)
-    assert np.array_equal(quantize(events, spec).frames, quantize_reference(events, spec))
+    assert np.array_equal(quantize(note_array(events), spec).frames,
+                          quantize_reference(events, spec))
 
 
 # Track events as (delta, event) byte pieces: notes on and off, running
@@ -288,17 +289,17 @@ def test_arbitrary_bytes_quantize_or_raise_documented_errors(data, step_fraction
 
 def test_quantize_bound_is_inclusive(monkeypatch):
     monkeypatch.setattr(pianoroll, "MAX_STEPS", 4)
-    assert len(quantize([(60, 0, 4 * 240, 0)], SPEC)) == 4
+    assert len(quantize(note_array([(60, 0, 4 * 240, 0)]), SPEC)) == 4
     with pytest.raises(TooLong):
-        quantize([(60, 0, 4 * 240 + 120, 0)], SPEC)  # rounds up to step 5
+        quantize(note_array([(60, 0, 4 * 240 + 120, 0)]), SPEC)  # rounds up to step 5
     with pytest.raises(TooLong):
-        quantize([(60, 4 * 240, 1, 0)], SPEC)  # kept at one step: 4..5
+        quantize(note_array([(60, 4 * 240, 1, 0)]), SPEC)  # kept at one step: 4..5
 
 
 def test_quantize_refuses_a_2_27_tick_note():
     # One 4-byte delta at PPQ 1 spans 2^27 steps, about 94 GB of frames;
     # only the bound stands between this file and that allocation.
-    events, ppq = parse_midi(write_midi([(60, 0, 1 << 27, 0)], 1))
+    events, ppq = parse_midi(write_midi(note_array([(60, 0, 1 << 27, 0)]), 1))
     assert ppq == 1 and events[0].duration_ticks == 1 << 27
     with pytest.raises(TooLong, match="MAX_STEPS"):
         quantize(events, QuantizationSpec.for_ppq(ppq))
@@ -341,9 +342,9 @@ def test_for_ppq_rejects_a_ppq_below_1(ppq):
 def max_steps_quantize_peak():
     """`quantize`'s traced peak on notes that make a MAX_STEPS roll, in rolls."""
     rng = np.random.Generator(np.random.PCG64(3))
-    events = [(int(p), int(o), int(d), 0) for p, o, d in zip(
+    events = note_array([(int(p), int(o), int(d), 0) for p, o, d in zip(
         rng.integers(0, 128, 3000), rng.integers(0, (MAX_STEPS - 8) * 240, 3000),
-        rng.integers(1, 2000, 3000))] + [(60, 0, MAX_STEPS * 240, 0)]
+        rng.integers(1, 2000, 3000))] + [(60, 0, MAX_STEPS * 240, 0)])
     roll_bytes = quantize(events, SPEC).frames.nbytes
     assert roll_bytes == MAX_STEPS * NUM_PITCHES * 8
     return traced_peak(quantize, events, SPEC) / roll_bytes
@@ -378,26 +379,29 @@ def test_piano_roll_accepts_exactly_0_and_1(value, accepted):
 
 def test_load_roll_spec_carries_the_step_length(tmp_path):
     path = tmp_path / "sixteenths.mid"
-    path.write_bytes(write_midi([(60, 0, 720, 0), (64, 720, 240, 0)], 480))
+    path.write_bytes(write_midi(note_array([(60, 0, 720, 0), (64, 720, 240, 0)]), 480))
     roll, spec = load_roll(str(path), 0.25)
     assert spec == QuantizationSpec(120, 0.25)
     assert roll.source_id == "sixteenths.mid" and len(roll) == 8
     assert parsed(render_midi(roll, spec)) == parsed(path.read_bytes())
 
 
-def test_chorale64_mid_loads_as_the_chorale64_fixture(chorale64):
+def test_chorale64_mid_loads_as_the_chorale64_fixture():
+    # The .mid that conftest loads is pinned to the text fixture it was rendered from.
+    with open(os.path.join(DATA_DIR, "chorale64.txt")) as fh:
+        text_roll = parse_pianoroll_text(fh.read())
     path = os.path.join(DATA_DIR, "chorale64.mid")
     roll, spec = load_roll(path, 0.5)
     assert spec == QuantizationSpec(240, 0.5)
-    assert len(roll) == 64 and np.array_equal(roll.frames, chorale64.frames)
+    assert len(roll) == 64 and np.array_equal(roll.frames, text_roll.frames)
     with open(path, "rb") as fh:  # the file is the fixture as render_midi writes it
-        assert fh.read() == render_midi(chorale64, spec)
+        assert fh.read() == render_midi(text_roll, spec)
 
 
 @pytest.mark.parametrize("ppq", [1, 3, 5, 480])
 def test_note_length_survives_a_round_trip_at_any_ppq(ppq):
     # At PPQ 1, 3 and 5 an eighth note is not a whole number of ticks.
-    events, ppq = parse_midi(write_midi([(60, 0, 4 * ppq, 0)], ppq))
+    events, ppq = parse_midi(write_midi(note_array([(60, 0, 4 * ppq, 0)]), ppq))
     spec = QuantizationSpec.for_ppq(ppq, 0.5)
     again, again_ppq = parse_midi(render_midi(quantize(events, spec), spec))
     assert again_ppq == ppq
@@ -470,7 +474,7 @@ def test_load_corpus_empty(tmp_path):
 def test_render_caps_ppq_of_a_ppq_32767_seed():
     # 0.5 quarter notes at PPQ 32767 round to 16384 ticks per step, which
     # would ask for PPQ 32768; the rendered file caps PPQ at 32767.
-    events, ppq = parse_midi(write_midi([(60, 0, 3 * 16384, 0)], 0x7FFF))
+    events, ppq = parse_midi(write_midi(note_array([(60, 0, 3 * 16384, 0)]), 0x7FFF))
     spec = QuantizationSpec.for_ppq(ppq, 0.5)
     roll = quantize(events, spec)
     again, again_ppq = parse_midi(render_midi(roll, spec))

@@ -12,7 +12,7 @@ from choralegen.errors import MalformedMidi, TooLong, UnsupportedFormat
 from choralegen.pianoroll import QuantizationSpec, quantize
 from choralegen.smf import NOTE, parse_midi, write_messages, write_midi
 
-from conftest import outcome, parsed
+from conftest import note_array, outcome, parsed
 
 
 def header(fmt=0, ntrks=1, division=480):
@@ -269,7 +269,7 @@ def test_smpte_division_rejected():
 
 def test_write_then_parse_round_trip():
     notes = [(60, 0, 480, 0), (64, 0, 240, 0), (67, 480, 480, 0)]
-    events, ppq = parsed(write_midi(notes, 480))
+    events, ppq = parsed(write_midi(note_array(notes), 480))
     assert ppq == 480
     assert sorted(events) == sorted(notes)
 
@@ -286,21 +286,28 @@ def test_overlapping_notes_of_one_pitch_close_first_in_first_out():
     ((60, -500, 10), "onset_ticks"), ((60, -1, 1), "onset_ticks"),
     ((60, 0, 0), "duration_ticks"), ((60, 1 << 62, 1 << 62), "2\\^63")])
 def test_note_event_rejects_bad_fields(fields, message):
-    # A note that breaks one of NOTE's rules, alone in a list of tuples or
-    # second in a NOTE array: write_midi and quantize refuse it by name.
-    for notes in ([(*fields, 0)], np.array([(60, 0, 1, 0), (*fields, 0)], NOTE)):
+    # A note that breaks one of NOTE's rules, alone or second in a NOTE
+    # array: write_midi and quantize refuse it by name.
+    for notes in (note_array([(*fields, 0)]), note_array([(60, 0, 1, 0), (*fields, 0)])):
         with pytest.raises(ValueError, match=message):
             write_midi(notes, 480)
         with pytest.raises(ValueError, match=message):
             quantize(notes, QuantizationSpec(240))
 
 
-@pytest.mark.parametrize("fields", [(60, 1 << 63, 1), (60, 0, 1 << 64), (1 << 63, 0, 1)])
-def test_note_with_a_field_past_int64_is_refused(fields):
-    # No NOTE field holds these Python ints: ValueError, not OverflowError.
-    with pytest.raises(ValueError, match="int64"):
+@pytest.mark.parametrize("fields", [
+    pytest.param((60, 0, 1), id="valid"),
+    pytest.param(("60", 0, 1), id="pitch-a-string"),
+    pytest.param((60.7, 0, 1), id="pitch-a-float"),
+    pytest.param((60, 1 << 63, 1), id="onset-past-int64"),
+    pytest.param((60, 0, 1 << 64), id="duration-past-int64"),
+    pytest.param((1 << 63, 0, 1), id="pitch-past-int64")])
+def test_a_list_of_notes_is_refused(fields):
+    # Not converted, so not parsed from a string, truncated from a float or
+    # overflowed from a Python int: ValueError naming NOTE, even for a valid note.
+    with pytest.raises(ValueError, match="NOTE array"):
         write_midi([(*fields, 0)], 480)
-    with pytest.raises(ValueError, match="int64"):
+    with pytest.raises(ValueError, match="NOTE array"):
         quantize([(*fields, 0)], QuantizationSpec(240))
 
 
@@ -433,14 +440,14 @@ def _with_abutting_and_duplicate(events):
 @given(_WRITE_EVENTS.map(_with_abutting_and_duplicate), st.sampled_from([1, 96, 480, 0x7FFF]))
 @example([], 480)
 def test_write_midi_matches_reference(events, ticks_per_quarter):
-    assert (outcome(lambda e: write_midi(e, ticks_per_quarter), events)
+    assert (outcome(lambda e: write_midi(note_array(e), ticks_per_quarter), events)
             == outcome(lambda e: write_reference(e, ticks_per_quarter), events))
 
 
 def test_write_midi_rejects_bad_ppq():
     for ppq in (0, 0x8000):
         with pytest.raises(ValueError, match="ticks_per_quarter"):
-            write_midi([(60, 0, 1, 0)], ppq)
+            write_midi(note_array([(60, 0, 1, 0)]), ppq)
         with pytest.raises(ValueError, match="ticks_per_quarter"):
             write_messages(np.array([0]), np.array([True]), np.array([60]), ppq)
 
