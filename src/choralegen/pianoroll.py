@@ -22,6 +22,11 @@ MIN_PITCH = 21  # A0
 # Fraction of a quarter note covered by one roll step; 0.5 = eighth note.
 DEFAULT_STEP_FRACTION = 0.5
 
+# The roll column of each MIDI pitch 0..127: its own inside A0..C8, else
+# the nearest column of its pitch class (an octave fold).
+_column = np.arange(128) - MIN_PITCH
+PITCH_COLUMN = np.clip(_column, _column % 12, NUM_PITCHES - 1 - (NUM_PITCHES - 1 - _column) % 12)
+
 # Longest roll `quantize` builds. File ticks can ask for far more: one
 # 4-byte delta at PPQ 1 is 2^27 steps, a 94 GB roll.
 MAX_STEPS = 1 << 16
@@ -117,23 +122,26 @@ def quantize(notes, spec: QuantizationSpec, source_id: str = "") -> PianoRoll:
     notes = checked_notes(notes)
     if not notes.size:
         raise EmptyAfterQuantization("no events to quantize")
-    pitch, onset = notes["pitch"], notes["onset_ticks"]
-    ticks = np.stack([onset, onset + notes["duration_ticks"]])
+    # Row 0 for onsets, row 1 for ends: their ticks, then steps, then cells of `marks`.
+    ticks = np.empty((2, notes.size), np.int64)
+    ticks[0] = notes["onset_ticks"]
+    np.add(ticks[0], notes["duration_ticks"], out=ticks[1])
     # Any step longer than twice the last tick rounds every edge to 0, so
     # capping it there changes nothing and keeps the sums inside int64.
     tps = min(spec.ticks_per_step, 2 * int(ticks[1].max()) + 1)
-    start, end = (ticks + tps // 2) // tps
-    end = np.maximum(end, start + 1)
-    num_steps = int(end.max())
+    ticks += tps // 2
+    ticks //= tps
+    np.maximum(ticks[1], ticks[0] + 1, out=ticks[1])
+    num_steps = int(ticks[1].max())
     if num_steps > MAX_STEPS:
         raise TooLong(f"{source_id or 'roll'}: {num_steps} steps exceed "
                       f"MAX_STEPS = {MAX_STEPS}")
-    col = pitch - MIN_PITCH
-    col = np.clip(col, col % 12, NUM_PITCHES - 1 - (NUM_PITCHES - 1 - col) % 12)
+    ticks *= NUM_PITCHES
+    ticks += PITCH_COLUMN[notes["pitch"]]
     # +1.0 where a note starts, -1.0 where it ends; a cell sounds while the
     # exact running sum down its column is positive (overlaps merge).
-    marks = np.bincount(np.concatenate([start, end]) * NUM_PITCHES + np.concatenate([col, col]),
-                        np.repeat([1.0, -1.0], col.size), (num_steps + 1) * NUM_PITCHES)
+    marks = np.bincount(ticks.ravel(), np.repeat([1.0, -1.0], notes.size),
+                        (num_steps + 1) * NUM_PITCHES)
     frames = marks.reshape(num_steps + 1, NUM_PITCHES)[:-1]
     np.minimum(frames.cumsum(axis=0, out=frames), 1.0, out=frames)
     return PianoRoll(frames, source_id)
@@ -154,7 +162,9 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     # Row t of `edges` is -1 where a note's last step was t - 1 and +1
     # where a note starts at t. Read step by step, note-offs before
     # note-ons and each by pitch, these edges are the file's messages.
-    edges = np.diff(roll.frames, axis=0, prepend=0.0, append=0.0)
+    edges = np.empty((len(roll) + 1, NUM_PITCHES))
+    edges[0], edges[-1] = roll.frames[0], -roll.frames[-1]
+    np.subtract(roll.frames[1:], roll.frames[:-1], out=edges[1:-1])
     step, is_on, col = np.unravel_index(np.flatnonzero(np.stack([edges < 0, edges > 0], 1)),
                                         (len(edges), 2, NUM_PITCHES))
     if not step.size:

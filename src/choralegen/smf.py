@@ -24,11 +24,13 @@ NOTE = np.dtype((np.record, [(name, np.int64) for name in
 
 
 def checked_notes(notes) -> np.ndarray:
-    """`notes` if it is a NOTE array whose notes keep NOTE's rules: 0 <= pitch
+    """`notes` if it is a 1-d NOTE array whose notes keep NOTE's rules: 0 <= pitch
     <= 127, onset_ticks >= 0, duration_ticks >= 1, an end before tick 2^63.
     Anything else, a list included, raises ValueError naming NOTE or the field."""
     if not isinstance(notes, np.ndarray) or notes.dtype != NOTE:
         raise ValueError(f"notes must be a NOTE array, not {getattr(notes, 'dtype', type(notes))}")
+    if notes.ndim != 1:
+        raise ValueError(f"notes must be a one-dimensional NOTE array, not {notes.ndim}-d")
     pitch, onset, duration = notes["pitch"], notes["onset_ticks"], notes["duration_ticks"]
     if pitch.min(initial=0) < 0 or pitch.max(initial=0) > 127:
         raise ValueError("pitch outside 0..127")
@@ -121,10 +123,10 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
             notes.extend((pitch, onset, max(1, tick - onset), track) for onset in queue)
 
 
-def parse_midi(data: bytes) -> tuple[np.recarray, int]:
+def parse_midi(data: bytes) -> tuple[np.ndarray, int]:
     """Parse SMF bytes into the notes of every track, merged.
 
-    Returns (notes, ticks_per_quarter_note), the notes a NOTE record array
+    Returns (notes, ticks_per_quarter_note), the notes a 1-d NOTE array
     sorted by (onset, pitch, track). Note-on with velocity 0 counts as
     note-off, and a pitch's note-offs close its sounding notes first in,
     first out.
@@ -163,9 +165,9 @@ def parse_midi(data: bytes) -> tuple[np.recarray, int]:
 
     # A stable sort: notes tied on (onset, pitch, track) keep the order
     # their track closed them in. Each keeps NOTE's rules already.
-    notes = np.array(notes, NOTE)
-    notes = notes[np.lexsort((notes["track"], notes["pitch"], notes["onset_ticks"]))]
-    return notes.view(np.recarray), division
+    rows = np.array(notes, np.int64).reshape(-1, 4)
+    rows = rows[np.lexsort((rows[:, 3], rows[:, 0], rows[:, 1]))]
+    return rows.view(NOTE)[:, 0], division
 
 
 # A delta time's VLQ is at most four 7-bit groups, at these shifts, most

@@ -13,16 +13,17 @@ README, Determinism); every other entry comes from RProp training.
 
 import hashlib
 import json
+import os
 
 from choralegen.metrics import evaluate
 from choralegen.model_io import serialize_model
 from choralegen.network import NetworkConfig, init_params
 from choralegen.optim import GDConfig, RPropConfig
-from choralegen.pianoroll import QuantizationSpec, render_midi
+from choralegen.pianoroll import QuantizationSpec, load_roll, parse_midi, render_midi
 from choralegen.runner import (GenerationConfig, TrainConfig, format_history,
                                generate, reconstruct, train)
 
-from conftest import chorale_piece, load_chorale64
+from conftest import DATA_DIR, chorale_piece, load_chorale64
 from test_acceptance import FIXTURE_NET, FIXTURE_OPT, FIXTURE_TRAIN
 
 # 40 epochs of a 32-block net on ten 32-frame pieces, per optimizer
@@ -116,9 +117,24 @@ def rendered(out: dict):
                                                   for roll in held_out40()))
 
 
+def read(out: dict):
+    """The NOTE bytes `parse_midi` reads from tests/data/chorale64.mid and
+    from the files of `rendered`, and the frames `load_roll` makes of
+    chorale64.mid at four step lengths."""
+    path = os.path.join(DATA_DIR, "chorale64.mid")
+    with open(path, "rb") as fh:
+        out["read.chorale64"] = sha256(parse_midi(fh.read())[0].tobytes())
+    for ppq in (3, 480):
+        spec = QuantizationSpec.for_ppq(ppq)
+        out[f"read.render.ppq{ppq}"] = sha256(b"".join(
+            parse_midi(render_midi(roll, spec))[0].tobytes() for roll in held_out40()))
+    for label, step_fraction in (("1/4", 0.25), ("1/3", 1 / 3), ("1/2", 0.5), ("1", 1.0)):
+        out[f"read.load_roll.{label}"] = sha256(load_roll(path, step_fraction)[0].frames.tobytes())
+
+
 def ledger() -> dict:
     out = {}
-    for recipe in (criterion3, corpus40, ragged40, wide_and_long, rendered):
+    for recipe in (criterion3, corpus40, ragged40, wide_and_long, rendered, read):
         recipe(out)
     return out
 

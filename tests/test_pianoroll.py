@@ -11,7 +11,7 @@ from choralegen import pianoroll
 from choralegen.errors import (EmptyAfterQuantization, EmptyCorpus,
                                MalformedMidi, TooLong, TooShort,
                                UnsupportedFormat)
-from choralegen.pianoroll import (MAX_STEPS, MIN_PITCH, NUM_PITCHES, PianoRoll,
+from choralegen.pianoroll import (MAX_STEPS, MIN_PITCH, NUM_PITCHES, PITCH_COLUMN, PianoRoll,
                                   QuantizationSpec, frame_pack, load_corpus,
                                   load_roll, load_split, parse_pianoroll_text, quantize,
                                   render_midi)
@@ -98,6 +98,15 @@ def test_low_pitch_octave_folded():
 def test_high_pitch_octave_folded():
     roll = quantize(note_array([(120, 0, 240, 0)]), SPEC)
     assert np.flatnonzero(roll.frames[0]).tolist() == [108 - 21]
+
+
+def test_every_midi_pitch_quantizes_into_its_folded_column():
+    # The table is the octave fold written out: a column in range keeps
+    # its pitch, one outside moves by whole octaves to the nearest end.
+    col = np.arange(128) - MIN_PITCH
+    assert np.array_equal(PITCH_COLUMN, np.clip(col, col % 12, 87 - (87 - col) % 12))
+    roll = quantize(note_array([(pitch, 240 * pitch, 240, 0) for pitch in range(128)]), SPEC)
+    assert np.array_equal(roll.frames, np.eye(NUM_PITCHES)[PITCH_COLUMN])
 
 
 def test_short_note_kept_one_step():

@@ -323,6 +323,18 @@ def test_notes_of_another_dtype_are_refused_not_cast(notes):
         quantize(notes, QuantizationSpec(240))
 
 
+@pytest.mark.parametrize("notes", [
+    pytest.param(np.array((60, 0, 480, 0), NOTE), id="0-d"),
+    pytest.param(np.array([[(60, 0, 480, 0)], [(62, 0, 480, 0)]], NOTE), id="2-d")])
+def test_notes_of_another_shape_are_refused(notes):
+    # Only a 1-d NOTE array is a list of notes; numpy's own errors for
+    # the others do not name NOTE.
+    with pytest.raises(ValueError, match="one-dimensional NOTE array"):
+        write_midi(notes, 480)
+    with pytest.raises(ValueError, match="one-dimensional NOTE array"):
+        quantize(notes, QuantizationSpec(240))
+
+
 # Track events as (delta, event) byte pieces: notes on and off on a few
 # pitches and channels, running status, velocity-0 note-offs, other channel
 # messages, meta and sysex events, 1..4-byte deltas, and rarer junk.
@@ -412,7 +424,7 @@ def test_parsed_notes_read_as_records_and_as_int_tuples(data):
     if isinstance(expected, type):  # an error: test_parse_midi_matches_reference
         return
     notes, _ = parse_midi(data)
-    assert notes.dtype == NOTE
+    assert type(notes) is np.ndarray and notes.dtype == NOTE  # not a np.recarray
     assert [(e.pitch, e.onset_ticks, e.duration_ticks, e.track) for e in notes] == expected[0]
     assert [tuple(map(int, e)) for e in notes] == expected[0]
 
