@@ -119,32 +119,57 @@ def quantize(notes, spec: QuantizationSpec, source_id: str = "") -> PianoRoll:
     by octaves into the roll's range. A roll longer than MAX_STEPS
     raises TooLong before it is allocated.
     """
-    notes = checked_notes(notes)
-    if not notes.size:
-        raise EmptyAfterQuantization("no events to quantize")
+    roll = quantize_split([(notes, spec, source_id)])[0]
+    if isinstance(roll, Error):
+        raise roll
+    return roll
+
+
+def quantize_split(pieces) -> list[PianoRoll | Error]:
+    """`quantize` of each (notes, spec, source_id) piece, in one pass: per
+    piece, its PianoRoll or the EmptyAfterQuantization or TooLong error
+    that refuses it. The rolls are row views of one buffer, freed only
+    when every roll is dropped."""
+    if not pieces:
+        return []
+    arrays, specs, names = zip(*pieces)
+    notes = checked_notes(*arrays)
+    counts = np.array([a.size for a in arrays], np.int64)
+    filled = counts > 0
+    firsts = (np.cumsum(counts) - counts)[filled]  # each filled piece's first note
     # Row 0 for onsets, row 1 for ends: their ticks, then steps, then cells of `marks`.
     ticks = np.empty((2, notes.size), np.int64)
     ticks[0] = notes["onset_ticks"]
     np.add(ticks[0], notes["duration_ticks"], out=ticks[1])
-    # Any step longer than twice the last tick rounds every edge to 0, so
-    # capping it there changes nothing and keeps the sums inside int64.
-    tps = min(spec.ticks_per_step, 2 * int(ticks[1].max()) + 1)
-    ticks += tps // 2
-    ticks //= tps
+    # Any step longer than twice a piece's last tick rounds its every edge to
+    # 0, so capping it there changes nothing and keeps the sums inside int64.
+    steps = np.zeros(len(pieces), np.int64)  # each piece's last tick, then its step count
+    steps[filled] = np.maximum.reduceat(ticks[1], firsts)
+    tps = np.array([min(spec.ticks_per_step, 2 * last + 1)
+                    for spec, last in zip(specs, steps.tolist())], np.int64)
+    ticks += np.repeat(tps // 2, counts)
+    ticks //= np.repeat(tps, counts)
     np.maximum(ticks[1], ticks[0] + 1, out=ticks[1])
-    num_steps = int(ticks[1].max())
-    if num_steps > MAX_STEPS:
-        raise TooLong(f"{source_id or 'roll'}: {num_steps} steps exceed "
-                      f"MAX_STEPS = {MAX_STEPS}")
+    steps[filled] = np.maximum.reduceat(ticks[1], firsts)
+    # A kept piece's rows are its steps and one spare end row, on which the
+    # running sum of each of its columns is back to exactly 0.0.
+    kept = filled & (steps <= MAX_STEPS)
+    ends = np.cumsum(np.where(kept, steps + 1, 0))
+    keep = np.repeat(kept, counts)
+    ticks = ticks[:, keep]
+    ticks += np.repeat((ends - steps - 1)[kept], counts[kept])  # each piece's first row
     ticks *= NUM_PITCHES
-    ticks += PITCH_COLUMN[notes["pitch"]]
+    ticks += PITCH_COLUMN[notes["pitch"][keep]]
     # +1.0 where a note starts, -1.0 where it ends; a cell sounds while the
     # exact running sum down its column is positive (overlaps merge).
-    marks = np.bincount(ticks.ravel(), np.repeat([1.0, -1.0], notes.size),
-                        (num_steps + 1) * NUM_PITCHES)
-    frames = marks.reshape(num_steps + 1, NUM_PITCHES)[:-1]
-    np.minimum(frames.cumsum(axis=0, out=frames), 1.0, out=frames)
-    return PianoRoll(frames, source_id)
+    marks = np.bincount(ticks.ravel(), np.repeat([1.0, -1.0], ticks.shape[1]),
+                        int(ends[-1]) * NUM_PITCHES)
+    frames = marks.reshape(-1, NUM_PITCHES)
+    np.minimum(frames.cumsum(axis=0, out=frames), 1, out=frames)
+    return [EmptyAfterQuantization("no events to quantize") if not n
+            else TooLong(f"{name or 'roll'}: {t} steps exceed MAX_STEPS = {MAX_STEPS}")
+            if t > MAX_STEPS else PianoRoll(frames[end - t - 1 : end - 1], name)
+            for name, n, t, end in zip(names, counts.tolist(), steps.tolist(), ends.tolist())]
 
 
 def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
@@ -174,13 +199,18 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     return write_messages(step * tps, is_on, MIN_PITCH + col, ppq)
 
 
+def _read_midi(path: str, step_fraction: float) -> tuple[np.ndarray, QuantizationSpec]:
+    """A MIDI file's notes, and the spec of `step_fraction` quarter notes at its PPQ."""
+    with open(path, "rb") as fh:
+        notes, ppq = parse_midi(fh.read())
+    return notes, QuantizationSpec.for_ppq(ppq, step_fraction)
+
+
 def load_roll(path: str, step_fraction: float) -> tuple[PianoRoll, QuantizationSpec]:
     """Read one MIDI file onto a grid of `step_fraction` quarter notes per
     step. Returns the roll, named after the file, and the spec that
     `render_midi` needs to write it back at the same tempo."""
-    with open(path, "rb") as fh:
-        notes, ppq = parse_midi(fh.read())
-    spec = QuantizationSpec.for_ppq(ppq, step_fraction)
+    notes, spec = _read_midi(path, step_fraction)
     return quantize(notes, spec, os.path.basename(path)), spec
 
 
@@ -198,17 +228,23 @@ def load_split(directory: str, split: str, step_fraction: float = DEFAULT_STEP_F
     cannot be read or gives a roll of fewer than 2 frames. A missing
     subdirectory gives no rolls."""
     split_dir = os.path.join(directory, split)
-    rolls, warnings = [], []
-    if not os.path.isdir(split_dir):
-        return rolls, warnings
-    for name in sorted(os.listdir(split_dir)):
-        if not name.lower().endswith((".mid", ".midi")):
-            continue
-        path = os.path.join(split_dir, name)
+    names = sorted(os.listdir(split_dir)) if os.path.isdir(split_dir) else []
+    paths = [os.path.join(split_dir, n) for n in names if n.lower().endswith((".mid", ".midi"))]
+    outcomes = []  # per path: its notes, spec and name, then its roll; or the error that skips it
+    for path in paths:
         try:
-            roll = load_roll(path, step_fraction)[0]
-            frame_pairs(roll)  # TooShort below 2 frames
-            rolls.append(roll)
+            outcomes.append((*_read_midi(path, step_fraction), os.path.basename(path)))
+        except (Error, OSError) as exc:
+            outcomes.append(exc)
+    quantized = iter(quantize_split([read for read in outcomes if isinstance(read, tuple)]))
+    outcomes = [next(quantized) if isinstance(read, tuple) else read for read in outcomes]
+    rolls, warnings = [], []
+    for path, outcome in zip(paths, outcomes):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            frame_pairs(outcome)  # TooShort below 2 frames
+            rolls.append(outcome)
         except (Error, OSError) as exc:
             warnings.append(f"{path}: {exc}")
     return rolls, warnings

@@ -23,14 +23,17 @@ NOTE = np.dtype((np.record, [(name, np.int64) for name in
                              ("pitch", "onset_ticks", "duration_ticks", "track")]))
 
 
-def checked_notes(notes) -> np.ndarray:
-    """`notes` if it is a 1-d NOTE array whose notes keep NOTE's rules: 0 <= pitch
-    <= 127, onset_ticks >= 0, duration_ticks >= 1, an end before tick 2^63.
-    Anything else, a list included, raises ValueError naming NOTE or the field."""
-    if not isinstance(notes, np.ndarray) or notes.dtype != NOTE:
-        raise ValueError(f"notes must be a NOTE array, not {getattr(notes, 'dtype', type(notes))}")
-    if notes.ndim != 1:
-        raise ValueError(f"notes must be a one-dimensional NOTE array, not {notes.ndim}-d")
+def checked_notes(*arrays) -> np.ndarray:
+    """`arrays` as one NOTE array, if each is a 1-d NOTE array whose notes keep NOTE's
+    rules: 0 <= pitch <= 127, onset_ticks >= 0, duration_ticks >= 1, an end before
+    tick 2^63. Anything else, a list included, raises ValueError naming NOTE or the field."""
+    for notes in arrays:
+        if not isinstance(notes, np.ndarray) or notes.dtype != NOTE:
+            raise ValueError(f"notes must be a NOTE array, not {getattr(notes, 'dtype', type(notes))}")
+        if notes.ndim != 1:
+            raise ValueError(f"notes must be a one-dimensional NOTE array, not {notes.ndim}-d")
+    # Joined as raw 32-byte records: numpy joins NOTE records field by field, ~10x slower.
+    notes = np.concatenate([notes.view("V32") for notes in arrays]).view(NOTE)
     pitch, onset, duration = notes["pitch"], notes["onset_ticks"], notes["duration_ticks"]
     if pitch.min(initial=0) < 0 or pitch.max(initial=0) > 127:
         raise ValueError("pitch outside 0..127")
@@ -99,7 +102,7 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
                 queue = opens[key]
                 if queue:
                     onset = queue.popleft()
-                    notes.append((key, onset, max(1, tick - onset), track))
+                    notes.append((key, onset, tick - onset or 1, track))
         elif status == 0xFF or status == 0xF0 or status == 0xF7:
             meta_type = None
             if status == 0xFF:
@@ -107,7 +110,8 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
                     raise MalformedMidi("truncated meta event")
                 meta_type = data[pos]
                 pos += 1
-            length, pos = _read_vlq(data, pos, end)
+            length, pos = ((data[pos], pos + 1) if pos < end and data[pos] < 0x80
+                           else _read_vlq(data, pos, end))  # a one-byte length is read inline
             if pos + length > end:
                 raise MalformedMidi("truncated meta or sysex payload")
             pos += length
@@ -120,7 +124,7 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
     # Unmatched note-ons are closed at end of track.
     for pitch, queue in opens.items():
         if queue:
-            notes.extend((pitch, onset, max(1, tick - onset), track) for onset in queue)
+            notes.extend((pitch, onset, tick - onset or 1, track) for onset in queue)
 
 
 def parse_midi(data: bytes) -> tuple[np.ndarray, int]:

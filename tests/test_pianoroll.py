@@ -8,16 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choralegen import pianoroll
-from choralegen.errors import (EmptyAfterQuantization, EmptyCorpus,
+from choralegen.errors import (EmptyAfterQuantization, EmptyCorpus, Error,
                                MalformedMidi, TooLong, TooShort,
                                UnsupportedFormat)
 from choralegen.pianoroll import (MAX_STEPS, MIN_PITCH, NUM_PITCHES, PITCH_COLUMN, PianoRoll,
-                                  QuantizationSpec, frame_pack, load_corpus,
+                                  QuantizationSpec, frame_pack, frame_pairs, load_corpus,
                                   load_roll, load_split, parse_pianoroll_text, quantize,
-                                  render_midi)
+                                  quantize_split, render_midi)
 from choralegen.smf import parse_midi, write_midi
 
-from conftest import DATA_DIR, note_array, outcome, pack, parsed, traced_peak
+from conftest import (DATA_DIR, chorale_piece, note_array, outcome, pack, parsed,
+                      traced_peak)
 
 SPEC = QuantizationSpec(ticks_per_step=240)
 
@@ -263,6 +264,48 @@ def test_quantize_matches_reference(events, tps):
                           quantize_reference(events, spec))
 
 
+# Split pieces: empty ones, and at a MAX_STEPS of 32 many refused as too long.
+PIECES = st.lists(st.tuples(st.lists(st.tuples(PITCHES, st.integers(0, 4000),
+                                               st.integers(1, 1500), st.just(0)), max_size=12),
+                            st.one_of(st.integers(1, 500), st.sampled_from([120, 240, 10**20]))),
+                  max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PIECES)
+@example([([(60, 1 << 62, 1 << 61, 0)], 240), ([(60, 0, 100, 0)], 10**20)])  # caps apart
+def test_quantize_split_matches_quantize_of_each_piece(pieces):
+    with mock.patch.object(pianoroll, "MAX_STEPS", 32):
+        args = [(note_array(events), QuantizationSpec(tps), f"piece{k}")
+                for k, (events, tps) in enumerate(pieces)]
+        split = quantize_split(args)
+        assert len(split) == len(args)
+        for (events, _), arg, got in zip(pieces, args, split):
+            try:
+                alone = quantize(*arg)
+            except (EmptyAfterQuantization, TooLong) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+            else:
+                assert got.source_id == alone.source_id
+                assert got.frames.tobytes() == alone.frames.tobytes()
+                assert np.array_equal(got.frames, quantize_reference(events, arg[1]))
+
+
+def test_a_split_piece_ending_on_its_last_step_leaks_into_no_next_piece():
+    # The first piece's note ends on the step after its last row: its
+    # -1.0 lands on the piece's spare end row, not on the next piece's first.
+    first, second = quantize_split([(note_array([(60, 0, 480, 0)]), SPEC, "first"),
+                                    (note_array([(64, 0, 720, 0)]), SPEC, "second")])
+    column = 60 - MIN_PITCH
+    assert len(first) == 2 and first.frames[:, column].tolist() == [1.0, 1.0]
+    assert len(second) == 3 and not second.frames[:, column].any()
+    assert np.array_equal(second.frames, quantize(note_array([(64, 0, 720, 0)]), SPEC).frames)
+    # Both rolls are row views of one buffer, whose spare rows read 0.0.
+    buffer = first.frames.base
+    assert second.frames.base is buffer and buffer.shape == (7 * NUM_PITCHES,)
+    assert not buffer.reshape(-1, NUM_PITCHES)[[2, 6]].any()
+
+
 # Track events as (delta, event) byte pieces: notes on and off, running
 # status, meta and sysex events, long deltas, and junk status bytes.
 _DELTAS = st.sampled_from([b"\x00", b"\x60", b"\x83\x60"] * 3 + [b"\xff\xff\xff\x7f"])
@@ -472,6 +515,60 @@ def test_load_split_passes_over_files_that_are_not_midi(tmp_path):
     rolls, warnings = load_split(str(tmp_path), "train")
     assert [r.source_id for r in rolls] == ["a.mid"]
     assert warnings == []
+
+
+def load_split_reference(directory, split):
+    """`load_roll` and `frame_pairs` on each file in turn: the oracle for `load_split`."""
+    rolls, warnings = [], []
+    split_dir = os.path.join(directory, split)
+    for name in sorted(os.listdir(split_dir)):
+        if not name.lower().endswith((".mid", ".midi")):
+            continue
+        path = os.path.join(split_dir, name)
+        try:
+            roll = load_roll(path, 0.5)[0]
+            frame_pairs(roll)
+            rolls.append(roll)
+        except (Error, OSError) as exc:
+            warnings.append(f"{path}: {exc}")
+    return rolls, warnings
+
+
+def test_load_split_of_a_mixed_directory_matches_a_per_file_loop(tmp_path):
+    split_dir = tmp_path / "train"
+    os.makedirs(split_dir / "folder.mid")  # open() raises IsADirectoryError
+    for k, length in enumerate([5, 17, 2, 9]):
+        _write_roll(split_dir / f"good{k}.mid", chorale_piece(k, length).frames)
+    _write_roll(split_dir / "UPPER.MIDI", chorale_piece(7, 4).frames)
+    _write_roll(split_dir / "one_frame.mid", chorale_piece(8, 1).frames)
+    (split_dir / "garbage.mid").write_bytes(b"\x00\xffnot a MIDI file at all")
+    (split_dir / "no_note.mid").write_bytes(write_midi(note_array([]), 480))
+    (split_dir / "too_long.mid").write_bytes(write_midi(note_array([(60, 0, 1 << 27, 0)]), 1))
+    (split_dir / "readme.txt").write_text("not a piece")
+    rolls, warnings = load_split(str(tmp_path), "train")
+    want_rolls, want_warnings = load_split_reference(str(tmp_path), "train")
+    assert [r.source_id for r in rolls] == [r.source_id for r in want_rolls] == [
+        "UPPER.MIDI", "good0.mid", "good1.mid", "good2.mid", "good3.mid"]
+    assert [r.frames.tobytes() for r in rolls] == [r.frames.tobytes() for r in want_rolls]
+    assert warnings == want_warnings
+    assert [w[len(str(split_dir)) + 1 :].split(":")[0] for w in warnings] == [
+        "folder.mid", "garbage.mid", "no_note.mid", "one_frame.mid", "too_long.mid"]
+    for warning, text in zip(warnings[1:], ["missing MThd header", "no events to quantize",
+                                            "need >= 2 frames, got 1", "exceed MAX_STEPS"]):
+        assert text in warning
+
+
+def test_load_split_of_many_short_pieces_peaks_below_1_4_rolls(tmp_path):
+    # The rolls are row views of one buffer with a spare row per piece;
+    # beside it the split's notes and their step cells are held, but no
+    # second copy of the buffer, which alone would read 2.
+    os.makedirs(tmp_path / "train")
+    for k in range(120):
+        _write_roll(tmp_path / "train" / f"piece{k:03d}.mid", chorale_piece(k, 16 + k % 17).frames)
+    rolls, warnings = load_split(str(tmp_path), "train")
+    assert len(rolls) == 120 and not warnings
+    roll_bytes = sum(roll.frames.nbytes for roll in rolls)
+    assert traced_peak(load_split, str(tmp_path), "train") <= 1.4 * roll_bytes
 
 
 def test_load_corpus_empty(tmp_path):

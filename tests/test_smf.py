@@ -242,6 +242,8 @@ def test_bad_vlq_raises(body, message):
                  "MThd length < 6", id="header-length-5"),
     pytest.param(header() + track(bytes([0x00, 0xFF])), "truncated meta event",
                  id="track-ends-after-0xff"),
+    pytest.param(header() + track(bytes([0x00, 0xFF, 0x01])), "truncated variable-length quantity",
+                 id="track-ends-before-meta-length"),
 ])
 def test_short_header_or_meta_event_raises(data, message):
     with pytest.raises(MalformedMidi, match=message):
