@@ -41,8 +41,8 @@ class QuantizationSpec:
     step_fraction: float = DEFAULT_STEP_FRACTION
 
     def __post_init__(self):
-        if self.ticks_per_step < 1:
-            raise ValueError("ticks_per_step must be >= 1")
+        if not isinstance(self.ticks_per_step, (int, np.integer)) or self.ticks_per_step < 1:
+            raise ValueError("ticks_per_step must be >= 1, as an int or np.integer")
         if not 0 < 0x7FFF * self.step_fraction < math.inf:  # for_ppq's product at the top PPQ
             raise ValueError("step_fraction must be > 0, with 32767 * step_fraction finite")
 
@@ -141,15 +141,13 @@ def quantize_split(pieces) -> list[PianoRoll | Error]:
     ticks = np.empty((2, notes.size), np.int64)
     ticks[0] = notes["onset_ticks"]
     np.add(ticks[0], notes["duration_ticks"], out=ticks[1])
-    # Any step longer than twice a piece's last tick rounds its every edge to
-    # 0, so capping it there changes nothing and keeps the sums inside int64.
-    steps = np.zeros(len(pieces), np.int64)  # each piece's last tick, then its step count
-    steps[filled] = np.maximum.reduceat(ticks[1], firsts)
-    tps = np.array([min(spec.ticks_per_step, 2 * last + 1)
-                    for spec, last in zip(specs, steps.tolist())], np.int64)
-    ticks += np.repeat(tps // 2, counts)
-    ticks //= np.repeat(tps, counts)
+    # Half-up to the nearest step, exactly: q + (r >= tps - r) sums nothing past
+    # uint64. Every tick is below 2^63, so 2^64 - 1 rounds them as any longer step.
+    tps = np.repeat(np.array([min(s.ticks_per_step, (1 << 64) - 1) for s in specs], np.uint64), counts)
+    rest = np.divmod(ticks.view(np.uint64), tps, out=(ticks.view(np.uint64), None))[1]
+    ticks += rest >= tps - rest
     np.maximum(ticks[1], ticks[0] + 1, out=ticks[1])
+    steps = np.zeros(len(pieces), np.int64)
     steps[filled] = np.maximum.reduceat(ticks[1], firsts)
     # A kept piece's rows are its steps and one spare end row, on which the
     # running sum of each of its columns is back to exactly 0.0.
@@ -180,7 +178,7 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     so trailing silent steps are dropped; a roll with no sounding cell, whose
     file would read back as no events, raises EmptyAfterQuantization.
     """
-    tps = spec.ticks_per_step
+    tps = int(spec.ticks_per_step)
     if len(roll) * tps >= 1 << 63:
         raise TooLong(f"{roll.source_id or 'roll'}: {len(roll)} steps of {tps} "
                       "ticks pass 2^63 ticks")

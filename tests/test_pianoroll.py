@@ -49,8 +49,9 @@ def render_reference(roll, spec):
     return write_midi(note_array(events), ppq)
 
 
-def quantize_reference(events, spec):
-    """Per-event loop with Python integers: the oracle for `quantize`."""
+def quantize_reference(events, spec, name="roll"):
+    """Per-event loop with Python integers: the oracle for `quantize`. Its
+    refusals come before any frame is built, with `quantize`'s messages."""
     tps = spec.ticks_per_step
     spans = []
     for pitch, onset, duration, _ in events:
@@ -63,7 +64,12 @@ def quantize_reference(events, spec):
         while pitch > MIN_PITCH + NUM_PITCHES - 1:
             pitch -= 12
         spans.append((start, end, pitch - MIN_PITCH))
-    frames = np.zeros((max(end for _, end, _ in spans), NUM_PITCHES))
+    if not spans:
+        raise EmptyAfterQuantization("no events to quantize")
+    steps = max(end for _, end, _ in spans)
+    if steps > pianoroll.MAX_STEPS:
+        raise TooLong(f"{name}: {steps} steps exceed MAX_STEPS = {pianoroll.MAX_STEPS}")
+    frames = np.zeros((steps, NUM_PITCHES))
     for start, end, col in spans:
         frames[start:end, col] = 1.0
     return frames
@@ -264,31 +270,67 @@ def test_quantize_matches_reference(events, tps):
                           quantize_reference(events, spec))
 
 
-# Split pieces: empty ones, and at a MAX_STEPS of 32 many refused as too long.
-PIECES = st.lists(st.tuples(st.lists(st.tuples(PITCHES, st.integers(0, 4000),
-                                               st.integers(1, 1500), st.just(0)), max_size=12),
-                            st.one_of(st.integers(1, 500), st.sampled_from([120, 240, 10**20]))),
+def _refusal_or(fn, *args):
+    """fn(*args), or the class and message of the refusal it raised."""
+    try:
+        return fn(*args)
+    except (EmptyAfterQuantization, TooLong) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("note, tps, sounding", [
+    ((60, 0, 2**63 - 1, 0), 3, TooLong),
+    ((60, 0, 2**63 - 1, 0), 2**62, [1, 1]),  # ends at step 1.99999...
+    ((60, 2**63 - 100, 50, 0), 240, TooLong),
+    ((60, 2**63 - 2, 1, 0), 2**63 - 1, [0, 1]),  # both edges round up to step 1
+    ((60, 2**62, 5, 0), 10**20, [1]),
+    ((60, 2**62, 5, 0), 2**64, [1])])
+def test_quantize_rounds_exactly_up_to_the_note_tick_limit(note, tps, sounding):
+    # Near tick 2^63 and for steps past int64, every edge still rounds
+    # half-up as the Python integers of `quantize_reference` do.
+    spec = QuantizationSpec(tps)
+    got = _refusal_or(quantize, note_array([note]), spec)
+    expected = _refusal_or(quantize_reference, [note], spec)
+    if sounding is TooLong:
+        assert got[0] is TooLong and got == expected
+    else:
+        assert got.frames[:, 60 - MIN_PITCH].tolist() == sounding and got.frames.sum() == sum(sounding)
+        assert np.array_equal(got.frames, expected)
+
+
+# A note's onset and end: two ticks below NOTE's limit of 2^63, mostly small.
+SPANS = st.lists(st.one_of(st.integers(0, 5500), st.integers(0, (1 << 63) - 1)),
+                 min_size=2, max_size=2, unique=True).map(sorted)
+
+# Split pieces: empty ones, and at a MAX_STEPS of 32 many refused as too long;
+# steps of 1 tick up to past 2^64.
+PIECES = st.lists(st.tuples(st.lists(st.builds(lambda pitch, span: (pitch, span[0], span[1] - span[0], 0),
+                                               PITCHES, SPANS), max_size=12),
+                            st.one_of(st.integers(1, 500), st.integers(1, 1 << 66),
+                                      st.sampled_from([120, 240, 10**20, (1 << 64) - 1, 1 << 64]))),
                   max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
 @given(PIECES)
-@example([([(60, 1 << 62, 1 << 61, 0)], 240), ([(60, 0, 100, 0)], 10**20)])  # caps apart
+@example([([(60, 1 << 62, 1 << 61, 0)], 240), ([(60, 0, 100, 0)], 10**20)])  # near 2^63, past int64
 def test_quantize_split_matches_quantize_of_each_piece(pieces):
+    # Each piece: the same frames or refusal as `quantize` of it alone and
+    # as `quantize_reference`, which counts steps with Python integers.
     with mock.patch.object(pianoroll, "MAX_STEPS", 32):
         args = [(note_array(events), QuantizationSpec(tps), f"piece{k}")
                 for k, (events, tps) in enumerate(pieces)]
         split = quantize_split(args)
         assert len(split) == len(args)
         for (events, _), arg, got in zip(pieces, args, split):
-            try:
-                alone = quantize(*arg)
-            except (EmptyAfterQuantization, TooLong) as exc:
-                assert type(got) is type(exc) and str(got) == str(exc)
+            alone = _refusal_or(quantize, *arg)
+            expected = _refusal_or(quantize_reference, events, arg[1], arg[2])
+            if isinstance(expected, tuple):
+                assert (type(got), str(got)) == alone == expected
             else:
-                assert got.source_id == alone.source_id
+                assert got.source_id == alone.source_id == arg[2]
                 assert got.frames.tobytes() == alone.frames.tobytes()
-                assert np.array_equal(got.frames, quantize_reference(events, arg[1]))
+                assert np.array_equal(got.frames, expected)
 
 
 def test_a_split_piece_ending_on_its_last_step_leaks_into_no_next_piece():
@@ -375,6 +417,22 @@ def test_spec_rejects_bad_step_fraction():
 def test_spec_rejects_ticks_per_step_below_1():
     with pytest.raises(ValueError, match="ticks_per_step must be >= 1"):
         QuantizationSpec(0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 240.0, "240", np.float64(240)])
+def test_spec_rejects_a_ticks_per_step_that_is_not_an_integer(bad):
+    # 2.5 would quantize on a 2-tick grid, and 240.0 would fail in render_midi.
+    with pytest.raises(ValueError, match="integer"):
+        QuantizationSpec(bad)
+
+
+@pytest.mark.parametrize("tps", [np.int64(240), np.uint64(240), np.int32(240)])
+def test_a_numpy_integer_ticks_per_step_renders_as_an_int_does(tps):
+    roll = chorale_piece(1, 16)
+    data = render_midi(roll, QuantizationSpec(tps))
+    assert data == render_midi(roll, SPEC)
+    events, _ = parse_midi(data)
+    assert np.array_equal(quantize(events, QuantizationSpec(tps)).frames, roll.frames)
 
 
 @pytest.mark.parametrize("shape, message", [((4, 87), r"frames must be \(T, 88\)"),
