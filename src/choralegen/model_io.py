@@ -27,11 +27,15 @@ _HEADER = struct.Struct("<IIIIQ")  # version, inputs, blocks, outputs, count
 
 
 def serialize_model(params: NetworkParams) -> bytes:
-    flat = np.concatenate([a.ravel() for a in params.arrays()], dtype="<f8")
+    # The 14 views are checksummed and joined in place, so the join is the one
+    # copy; only a strided or big-endian view is copied first.
+    arrays = [np.ascontiguousarray(a, "<f8") for a in params.arrays()]
     header = _HEADER.pack(VERSION, params.num_inputs, params.num_blocks,
-                          params.num_outputs, flat.size)
-    checksum = zlib.crc32(flat, zlib.crc32(header))
-    return b"".join([MAGIC, header, flat, struct.pack("<I", checksum)])
+                          params.num_outputs, params.size())
+    checksum = zlib.crc32(header)
+    for a in arrays:
+        checksum = zlib.crc32(a, checksum)
+    return b"".join([MAGIC, header, *arrays, struct.pack("<I", checksum)])
 
 
 def deserialize_model(data: bytes) -> NetworkParams:

@@ -188,8 +188,10 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     edges = np.empty((len(roll) + 1, NUM_PITCHES))
     edges[0], edges[-1] = roll.frames[0], -roll.frames[-1]
     np.subtract(roll.frames[1:], roll.frames[:-1], out=edges[1:-1])
-    step, is_on, col = np.unravel_index(np.flatnonzero(np.stack([edges < 0, edges > 0], 1)),
-                                        (len(edges), 2, NUM_PITCHES))
+    marks = np.empty((len(edges), 2, NUM_PITCHES), bool)  # [t, 0]: offs, [t, 1]: ons
+    np.less(edges, 0, out=marks[:, 0])
+    np.greater(edges, 0, out=marks[:, 1])
+    step, is_on, col = np.unravel_index(np.flatnonzero(marks), marks.shape)
     if not step.size:
         raise EmptyAfterQuantization(f"{roll.source_id or 'roll'}: no sounding note to render")
     # SMF stores PPQ in 15 bits; at the cap a step spans slightly more time.

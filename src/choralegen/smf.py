@@ -66,17 +66,20 @@ _DATA_BYTES = bytes(0 if s < 0x80 or s >= 0xF0 else 1 if 0xC0 <= s < 0xE0 else 2
 
 
 def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
-    """Append the notes of the track in data[pos:end] to `notes` as
-    (pitch, onset, duration, track) tuples."""
+    """Append the notes of the track in data[pos:end] to `notes` as flat
+    int rows: pitch, onset, duration, track, then the next note's four."""
     opens = defaultdict(deque)  # pitch -> onset ticks of its sounding notes
     tick = status = 0  # status 0: no running status
     while pos < end:
-        # Delta time: most are one byte, read inline; longer ones go to _read_vlq.
+        # Delta time: one or two bytes are read inline; longer or truncated ones go to _read_vlq.
         delta = data[pos]
-        if delta & 0x80:
-            delta, pos = _read_vlq(data, pos, end)
-        else:
+        if not delta & 0x80:
             pos += 1
+        elif pos + 1 < end and not data[pos + 1] & 0x80:
+            delta = (delta & 0x7F) << 7 | data[pos + 1]
+            pos += 2
+        else:
+            delta, pos = _read_vlq(data, pos, end)
         tick += delta
         if pos >= end:
             raise MalformedMidi("truncated event")
@@ -102,7 +105,7 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
                 queue = opens[key]
                 if queue:
                     onset = queue.popleft()
-                    notes.append((key, onset, tick - onset or 1, track))
+                    notes += (key, onset, tick - onset or 1, track)
         elif status == 0xFF or status == 0xF0 or status == 0xF7:
             meta_type = None
             if status == 0xFF:
@@ -123,8 +126,8 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
 
     # Unmatched note-ons are closed at end of track.
     for pitch, queue in opens.items():
-        if queue:
-            notes.extend((pitch, onset, tick - onset or 1, track) for onset in queue)
+        for onset in queue:
+            notes += (pitch, onset, tick - onset or 1, track)
 
 
 def parse_midi(data: bytes) -> tuple[np.ndarray, int]:
@@ -149,7 +152,7 @@ def parse_midi(data: bytes) -> tuple[np.ndarray, int]:
     if division == 0:
         raise MalformedMidi("zero ticks per quarter note")
 
-    notes: list[tuple[int, int, int, int]] = []
+    notes: list[int] = []  # flat rows of four, as _parse_track appends them
     pos = 8 + header_len
     track_index = 0
     while pos < len(data) and track_index < ntrks:
@@ -177,6 +180,7 @@ def parse_midi(data: bytes) -> tuple[np.ndarray, int]:
 # A delta time's VLQ is at most four 7-bit groups, at these shifts, most
 # significant first; SMF allows no more, so a delta must stay below 2^28.
 _VLQ_SHIFTS = np.arange(21, -1, -7)
+_VLQ_CONTINUE = (_VLQ_SHIFTS > 0) * 0x80  # the high bit of every group but the last
 _TEMPO = bytes([0x00, 0xFF, 0x51, 0x03]) + WRITE_TEMPO_US.to_bytes(3, "big")
 _END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])
 
@@ -203,14 +207,15 @@ def write_messages(tick: np.ndarray, is_on: np.ndarray, pitch: np.ndarray,
     for a tick 2^28 or more past the one before (or 0), past a 4-byte delta."""
     if ticks_per_quarter < 1 or ticks_per_quarter > 0x7FFF:
         raise ValueError("ticks_per_quarter out of range")
-    if pitch.min(initial=0) < 0 or pitch.max(initial=0) > 127:
+    if np.minimum.reduce(pitch, initial=0) < 0 or np.maximum.reduce(pitch, initial=0) > 127:
         raise ValueError("pitch outside 0..127")
     delta = tick.copy()
     delta[1:] -= tick[:-1]
-    if delta.min(initial=0) < 0:
+    if np.minimum.reduce(delta, initial=0) < 0:
         raise ValueError("ticks must be >= 0 and must not decrease")
-    if delta.max(initial=0) >= 1 << 28:
-        raise TooLong(f"a gap of {int(delta.max())} ticks between MIDI events "
+    gap = np.maximum.reduce(delta, initial=0)
+    if gap >= 1 << 28:
+        raise TooLong(f"a gap of {int(gap)} ticks between MIDI events "
                       "reaches 2^28, past SMF's 4-byte delta time")
 
     # Row k is message k's bytes: its delta's four VLQ groups, then status,
@@ -218,12 +223,13 @@ def write_messages(tick: np.ndarray, is_on: np.ndarray, pitch: np.ndarray,
     # before it is nonzero, the last group always.
     groups = delta[:, None] >> _VLQ_SHIFTS
     rows = np.empty((tick.size, 7), np.uint8)
-    rows[:, :4] = groups & 0x7F | (_VLQ_SHIFTS > 0) * 0x80
+    rows[:, :4] = groups & 0x7F | _VLQ_CONTINUE
     rows[:, 4] = np.where(is_on, 0x90, 0x80)
     rows[:, 5] = pitch
     rows[:, 6] = np.where(is_on, WRITE_VELOCITY, 0x40)
-    used = np.ones(rows.shape, bool)
-    used[:, :3] = groups[:, :3] > 0
+    used = np.empty(rows.shape, bool)
+    np.greater(groups[:, :3], 0, out=used[:, :3])
+    used[:, 3:] = True
     body = rows[used].tobytes()
 
     length = len(_TEMPO) + len(body) + len(_END_OF_TRACK)

@@ -13,6 +13,8 @@ from choralegen.model_io import (deserialize_model, load_model, save_model,
                                  serialize_model)
 from choralegen.network import NetworkConfig, init_params
 
+from conftest import traced_peak
+
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "model_v1.chlf")
 
@@ -81,6 +83,20 @@ def test_golden_v1_file_loads_and_reproduces():
     loaded = deserialize_model(golden)
     for mine, theirs in zip(loaded.arrays(), params.arrays()):
         assert mine.tobytes() == theirs.tobytes()
+
+
+def test_serialize_writes_the_file_in_one_copy():
+    # The parameter views are joined into the file as they are: no gathered
+    # copy of the parameter vector beside the bytes returned.
+    params = init_params(NetworkConfig(num_blocks=64, rng_seed=0))
+    size = len(serialize_model(params))
+    assert traced_peak(serialize_model, params) <= 1.1 * size
+
+
+def test_serialize_reads_a_strided_parameter_vector():
+    params = params_fixture()
+    strided = params.with_flat(np.repeat(params.vector, 2)[::2])
+    assert serialize_model(strided) == serialize_model(params)
 
 
 def with_header(num_inputs, num_blocks, num_outputs, count):

@@ -229,6 +229,9 @@ def test_truncated_chunk_raises():
 @pytest.mark.parametrize("body, message", [
     pytest.param(bytes([0xFF, 0xFF, 0xFF, 0xFF, 0xFF]), "longer than 4 bytes", id="5-byte-delta"),
     pytest.param(bytes([0x81]), "truncated variable-length quantity", id="truncated-delta"),
+    pytest.param(bytes([0x81, 0x00]), "truncated event", id="2-byte-delta-ends-track"),
+    pytest.param(bytes([0x81, 0x80]), "truncated variable-length quantity",
+                 id="truncated-3-byte-delta"),
     pytest.param(bytes([0x00, 0xFF, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]),
                  "longer than 4 bytes", id="5-byte-meta-length"),
 ])
@@ -412,6 +415,8 @@ TWO_TRACKS = (header(ntrks=2) + track(b"\x00\x90\x3c\x40\x00\x90\x3c\x40\x10\x3c
 @given(SMF_BYTES)
 @example(TWO_TRACKS)
 @example(header() + track(b"\x00\x90\x3c\x40\x81\x80\x80\x80\x00\x80\x3c\x40"))  # 5-byte delta
+@example(header() + track(b"\x00\x90\x3c\x40\x83\x60\x80\x3c\x40"))  # 2-byte delta, 480 ticks
+@example(header() + track(b"\x00\x90\x3c\x40\x80\x00\x80\x3c\x40"))  # non-minimal zero delta
 def test_parse_midi_matches_reference(data):
     assert outcome(parsed, data) == outcome(parse_reference, data)
 
@@ -465,6 +470,17 @@ def test_write_midi_rejects_bad_ppq():
         with pytest.raises(ValueError, match="ticks_per_quarter"):
             write_messages(np.array([0]), np.array([True]), np.array([60]), ppq)
 
+
+
+def test_write_messages_delta_takes_its_vlq_width():
+    # Each gap sits at the edge of a VLQ width: the note-off after it reads
+    # back at its tick, and the delta's width shows in the track length.
+    gaps = [0, 127, 128, 16383, 16384, (1 << 21) - 1, 1 << 21, (1 << 28) - 1]
+    for gap, width in zip(gaps, [1, 1, 2, 2, 3, 3, 4, 4]):
+        data = write_messages(np.array([0, gap]), np.array([True, False]), np.array([60, 60]), 480)
+        (track_length,) = struct.unpack(">I", data[18:22])
+        assert track_length == 7 + (1 + 3) + (width + 3) + 4, gap
+        assert parsed(data) == ([(60, 0, gap or 1, 0)], 480)
 
 
 @pytest.mark.parametrize("tick, pitch, message", [
