@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyAfterQuantization, EmptyCorpus, Error, TooLong, TooShort
-from .smf import checked_notes, parse_midi, write_messages
+from .smf import NOTE, checked_notes, parse_midi, walk_midi, write_messages
 
 NUM_PITCHES = 88
 MIN_PITCH = 21  # A0
@@ -119,22 +119,26 @@ def quantize(notes, spec: QuantizationSpec, source_id: str = "") -> PianoRoll:
     by octaves into the roll's range. A roll longer than MAX_STEPS
     raises TooLong before it is allocated.
     """
-    roll = quantize_split([(notes, spec, source_id)])[0]
+    roll = quantize_split(notes, None, [spec], [source_id])[0]
     if isinstance(roll, Error):
         raise roll
     return roll
 
 
-def quantize_split(pieces) -> list[PianoRoll | Error]:
-    """`quantize` of each (notes, spec, source_id) piece, in one pass: per
-    piece, its PianoRoll or the EmptyAfterQuantization or TooLong error
-    that refuses it. The rolls are row views of one buffer, freed only
-    when every roll is dropped."""
-    if not pieces:
+def quantize_split(notes, counts, specs, names) -> list[PianoRoll | Error]:
+    """`quantize` of each piece of a split, in one pass. Piece k is the next
+    `counts[k]` of `notes` (see `smf.checked_notes`), in any order, on the
+    grid of `specs[k]` and named `names[k]`; `counts` None makes every note
+    one piece. Per piece: its PianoRoll, or the EmptyAfterQuantization or
+    TooLong error that refuses it. The rolls are row views of one buffer,
+    freed only when every roll is dropped."""
+    notes = checked_notes(notes)
+    counts = np.array([notes.size] if counts is None else counts, np.int64)
+    if (counts.shape != (len(specs),) or len(names) != len(specs)
+            or counts.min(initial=0) < 0 or counts.sum() != notes.size):
+        raise ValueError("counts must give each spec and name a count >= 0, summing to notes.size")
+    if not specs:
         return []
-    arrays, specs, names = zip(*pieces)
-    notes = checked_notes(*arrays)
-    counts = np.array([a.size for a in arrays], np.int64)
     filled = counts > 0
     firsts = (np.cumsum(counts) - counts)[filled]  # each filled piece's first note
     # Row 0 for onsets, row 1 for ends: their ticks, then steps, then cells of `marks`.
@@ -146,8 +150,9 @@ def quantize_split(pieces) -> list[PianoRoll | Error]:
     tps = np.repeat(np.array([min(s.ticks_per_step, (1 << 64) - 1) for s in specs], np.uint64), counts)
     rest = np.divmod(ticks.view(np.uint64), tps, out=(ticks.view(np.uint64), None))[1]
     ticks += rest >= tps - rest
+    del rest, tps  # 24 B a note, freed before the rolls' buffer is allocated
     np.maximum(ticks[1], ticks[0] + 1, out=ticks[1])
-    steps = np.zeros(len(pieces), np.int64)
+    steps = np.zeros(len(specs), np.int64)
     steps[filled] = np.maximum.reduceat(ticks[1], firsts)
     # A kept piece's rows are its steps and one spare end row, on which the
     # running sum of each of its columns is back to exactly 0.0.
@@ -166,8 +171,16 @@ def quantize_split(pieces) -> list[PianoRoll | Error]:
     np.minimum(frames.cumsum(axis=0, out=frames), 1, out=frames)
     return [EmptyAfterQuantization("no events to quantize") if not n
             else TooLong(f"{name or 'roll'}: {t} steps exceed MAX_STEPS = {MAX_STEPS}")
-            if t > MAX_STEPS else PianoRoll(frames[end - t - 1 : end - 1], name)
+            if t > MAX_STEPS else _binary_roll(frames[end - t - 1 : end - 1], name)
             for name, n, t, end in zip(names, counts.tolist(), steps.tolist(), ends.tolist())]
+
+
+def _binary_roll(frames: np.ndarray, source_id: str) -> PianoRoll:
+    """A PianoRoll of float64 (T >= 1, 88) frames known to hold only 0.0 and
+    1.0, as `quantize_split` makes them, built without rescanning them."""
+    roll = PianoRoll.__new__(PianoRoll)
+    roll.frames, roll.source_id = frames, source_id
+    return roll
 
 
 def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
@@ -199,18 +212,13 @@ def render_midi(roll: PianoRoll, spec: QuantizationSpec) -> bytes:
     return write_messages(step * tps, is_on, MIN_PITCH + col, ppq)
 
 
-def _read_midi(path: str, step_fraction: float) -> tuple[np.ndarray, QuantizationSpec]:
-    """A MIDI file's notes, and the spec of `step_fraction` quarter notes at its PPQ."""
-    with open(path, "rb") as fh:
-        notes, ppq = parse_midi(fh.read())
-    return notes, QuantizationSpec.for_ppq(ppq, step_fraction)
-
-
 def load_roll(path: str, step_fraction: float) -> tuple[PianoRoll, QuantizationSpec]:
     """Read one MIDI file onto a grid of `step_fraction` quarter notes per
     step. Returns the roll, named after the file, and the spec that
     `render_midi` needs to write it back at the same tempo."""
-    notes, spec = _read_midi(path, step_fraction)
+    with open(path, "rb") as fh:
+        notes, ppq = parse_midi(fh.read())
+    spec = QuantizationSpec.for_ppq(ppq, step_fraction)
     return quantize(notes, spec, os.path.basename(path)), spec
 
 
@@ -228,18 +236,29 @@ def load_split(directory: str, split: str, step_fraction: float = DEFAULT_STEP_F
     cannot be read or gives a roll of fewer than 2 frames. A missing
     subdirectory gives no rolls."""
     split_dir = os.path.join(directory, split)
-    names = sorted(os.listdir(split_dir)) if os.path.isdir(split_dir) else []
-    paths = [os.path.join(split_dir, n) for n in names if n.lower().endswith((".mid", ".midi"))]
-    outcomes = []  # per path: its notes, spec and name, then its roll; or the error that skips it
+    entries = sorted(os.listdir(split_dir)) if os.path.isdir(split_dir) else []
+    paths = [os.path.join(split_dir, n) for n in entries if n.lower().endswith((".mid", ".midi"))]
+    rows = []  # the notes of every file read, as `walk_midi` appends them
+    errors, counts, specs, names = [], [], [], []  # per path an error or None; per file read the rest
     for path in paths:
+        start = len(rows)
         try:
-            outcomes.append((*_read_midi(path, step_fraction), os.path.basename(path)))
+            with open(path, "rb") as fh:
+                ppq = walk_midi(fh.read(), rows)
         except (Error, OSError) as exc:
-            outcomes.append(exc)
-    quantized = iter(quantize_split([read for read in outcomes if isinstance(read, tuple)]))
-    outcomes = [next(quantized) if isinstance(read, tuple) else read for read in outcomes]
+            del rows[start:]  # what a file read before its fault
+            errors.append(exc)
+            continue
+        errors.append(None)
+        counts.append((len(rows) - start) // 4)
+        specs.append(QuantizationSpec.for_ppq(ppq, step_fraction))
+        names.append(os.path.basename(path))
+    notes = np.array(rows, np.int64).view(NOTE)
+    del rows  # freed before quantize_split allocates the rolls
+    quantized = iter(quantize_split(notes, counts, specs, names))
     rolls, warnings = [], []
-    for path, outcome in zip(paths, outcomes):
+    for path, error in zip(paths, errors):
+        outcome = error or next(quantized)
         try:
             if isinstance(outcome, Exception):
                 raise outcome

@@ -23,17 +23,14 @@ NOTE = np.dtype((np.record, [(name, np.int64) for name in
                              ("pitch", "onset_ticks", "duration_ticks", "track")]))
 
 
-def checked_notes(*arrays) -> np.ndarray:
-    """`arrays` as one NOTE array, if each is a 1-d NOTE array whose notes keep NOTE's
-    rules: 0 <= pitch <= 127, onset_ticks >= 0, duration_ticks >= 1, an end before
+def checked_notes(notes) -> np.ndarray:
+    """`notes` itself, if it is a 1-d NOTE array whose notes keep NOTE's rules:
+    0 <= pitch <= 127, onset_ticks >= 0, duration_ticks >= 1, an end before
     tick 2^63. Anything else, a list included, raises ValueError naming NOTE or the field."""
-    for notes in arrays:
-        if not isinstance(notes, np.ndarray) or notes.dtype != NOTE:
-            raise ValueError(f"notes must be a NOTE array, not {getattr(notes, 'dtype', type(notes))}")
-        if notes.ndim != 1:
-            raise ValueError(f"notes must be a one-dimensional NOTE array, not {notes.ndim}-d")
-    # Joined as raw 32-byte records: numpy joins NOTE records field by field, ~10x slower.
-    notes = np.concatenate([notes.view("V32") for notes in arrays]).view(NOTE)
+    if not isinstance(notes, np.ndarray) or notes.dtype != NOTE:
+        raise ValueError(f"notes must be a NOTE array, not {getattr(notes, 'dtype', type(notes))}")
+    if notes.ndim != 1:
+        raise ValueError(f"notes must be a one-dimensional NOTE array, not {notes.ndim}-d")
     pitch, onset, duration = notes["pitch"], notes["onset_ticks"], notes["duration_ticks"]
     if pitch.min(initial=0) < 0 or pitch.max(initial=0) > 127:
         raise ValueError("pitch outside 0..127")
@@ -59,23 +56,24 @@ def _read_vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
     raise MalformedMidi("variable-length quantity longer than 4 bytes")
 
 
-# Data bytes after a status byte: 2 or 1 for channel messages, 0 for meta
-# (0xFF), sysex (0xF0, 0xF7) and the system messages a track may not hold.
-_DATA_BYTES = bytes(0 if s < 0x80 or s >= 0xF0 else 1 if 0xC0 <= s < 0xE0 else 2
-                    for s in range(256))
+# What each status byte starts: 3 a note-off and 4 a note-on, each with two
+# data bytes; 2 or 1 data bytes of a channel message that holds no note; 0
+# meta (0xFF), sysex (0xF0, 0xF7) or a system message a track may not hold.
+_ACTION = bytes(0 if s < 0x80 or s >= 0xF0 else 3 if s < 0x90 else 4 if s < 0xA0
+                else 1 if 0xC0 <= s < 0xE0 else 2 for s in range(256))
 
 
 def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
     """Append the notes of the track in data[pos:end] to `notes` as flat
     int rows: pitch, onset, duration, track, then the next note's four."""
     opens = defaultdict(deque)  # pitch -> onset ticks of its sounding notes
-    tick = status = 0  # status 0: no running status
+    tick = status = action = 0  # status 0: no running status
     while pos < end:
         # Delta time: one or two bytes are read inline; longer or truncated ones go to _read_vlq.
         delta = data[pos]
-        if not delta & 0x80:
+        if delta < 0x80:
             pos += 1
-        elif pos + 1 < end and not data[pos + 1] & 0x80:
+        elif pos + 1 < end and data[pos + 1] < 0x80:
             delta = (delta & 0x7F) << 7 | data[pos + 1]
             pos += 2
         else:
@@ -83,29 +81,33 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
         tick += delta
         if pos >= end:
             raise MalformedMidi("truncated event")
-        byte = data[pos]
-        if byte & 0x80:
-            status = byte
+        if data[pos] >= 0x80:
+            status = data[pos]
+            action = _ACTION[status]
             pos += 1
         elif not status:
             raise MalformedMidi("data byte with no running status")
 
-        size = _DATA_BYTES[status]
-        if size:
-            if pos + size > end:
+        if action > 2:
+            if pos + 2 > end:
                 raise MalformedMidi("truncated channel event")
-            key, value = data[pos], data[pos + size - 1]  # one byte: key is value
-            pos += size
-            if (key | value) & 0x80:
+            key, value = data[pos], data[pos + 1]
+            pos += 2
+            if (key | value) >= 0x80:
                 raise MalformedMidi("data byte >= 0x80 in channel event")
-            kind = status & 0xF0  # the one-byte kinds, 0xC0 and 0xD0, hold no note
-            if kind == 0x90 and value:
+            if value and action == 4:
                 opens[key].append(tick)
-            elif kind <= 0x90:  # note-off, or note-on at velocity 0
+            else:  # note-off, or note-on at velocity 0
                 queue = opens[key]
                 if queue:
                     onset = queue.popleft()
                     notes += (key, onset, tick - onset or 1, track)
+        elif action:
+            if pos + action > end:
+                raise MalformedMidi("truncated channel event")
+            if (data[pos] | data[pos + action - 1]) >= 0x80:
+                raise MalformedMidi("data byte >= 0x80 in channel event")
+            pos += action
         elif status == 0xFF or status == 0xF0 or status == 0xF7:
             meta_type = None
             if status == 0xFF:
@@ -118,7 +120,7 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
             if pos + length > end:
                 raise MalformedMidi("truncated meta or sysex payload")
             pos += length
-            status = 0
+            status = action = 0
             if meta_type == 0x2F:
                 break
         else:
@@ -130,14 +132,11 @@ def _parse_track(data: bytes, pos: int, end: int, track: int, notes: list):
             notes += (pitch, onset, tick - onset or 1, track)
 
 
-def parse_midi(data: bytes) -> tuple[np.ndarray, int]:
-    """Parse SMF bytes into the notes of every track, merged.
-
-    Returns (notes, ticks_per_quarter_note), the notes a 1-d NOTE array
-    sorted by (onset, pitch, track). Note-on with velocity 0 counts as
-    note-off, and a pitch's note-offs close its sounding notes first in,
-    first out.
-    """
+def walk_midi(data: bytes, rows: list) -> int:
+    """Append the notes of every track of SMF bytes to `rows` as flat int
+    rows: pitch, onset, duration, track, then the next note's four, each
+    track's in the order it closes them. Returns the ticks per quarter note.
+    A file that raises part-way leaves the rows read before the fault."""
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedMidi("missing MThd header")
     header_len, fmt, ntrks, division = struct.unpack(">IHHH", data[4:14])
@@ -152,7 +151,6 @@ def parse_midi(data: bytes) -> tuple[np.ndarray, int]:
     if division == 0:
         raise MalformedMidi("zero ticks per quarter note")
 
-    notes: list[int] = []  # flat rows of four, as _parse_track appends them
     pos = 8 + header_len
     track_index = 0
     while pos < len(data) and track_index < ntrks:
@@ -164,17 +162,28 @@ def parse_midi(data: bytes) -> tuple[np.ndarray, int]:
         if pos > len(data):
             raise MalformedMidi("truncated chunk body")
         if chunk_id == b"MTrk":
-            _parse_track(data, start, pos, track_index, notes)
+            _parse_track(data, start, pos, track_index, rows)
             track_index += 1
         # Alien chunks are skipped per the SMF spec.
     if track_index == 0:
         raise MalformedMidi("no MTrk chunk found")
+    return division
 
+
+def parse_midi(data: bytes) -> tuple[np.ndarray, int]:
+    """Parse SMF bytes into the notes of every track, merged.
+
+    Returns (notes, ticks_per_quarter_note), the notes a 1-d NOTE array
+    sorted by (onset, pitch, track). Note-on with velocity 0 counts as
+    note-off, and a pitch's note-offs close its sounding notes first in,
+    first out.
+    """
+    rows: list[int] = []
+    division = walk_midi(data, rows)
     # A stable sort: notes tied on (onset, pitch, track) keep the order
     # their track closed them in. Each keeps NOTE's rules already.
-    rows = np.array(notes, np.int64).reshape(-1, 4)
-    rows = rows[np.lexsort((rows[:, 3], rows[:, 0], rows[:, 1]))]
-    return rows.view(NOTE)[:, 0], division
+    notes = np.array(rows, np.int64).view(NOTE)
+    return notes[np.lexsort((notes["track"], notes["pitch"], notes["onset_ticks"]))], division
 
 
 # A delta time's VLQ is at most four 7-bit groups, at these shifts, most

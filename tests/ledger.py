@@ -14,12 +14,14 @@ README, Determinism); every other entry comes from RProp training.
 import hashlib
 import json
 import os
+import tempfile
 
 from choralegen.metrics import evaluate
 from choralegen.model_io import serialize_model
 from choralegen.network import NetworkConfig, init_params
 from choralegen.optim import GDConfig, RPropConfig
-from choralegen.pianoroll import QuantizationSpec, load_roll, parse_midi, render_midi
+from choralegen.pianoroll import (QuantizationSpec, load_roll, load_split, parse_midi,
+                                  render_midi)
 from choralegen.runner import (GenerationConfig, TrainConfig, format_history,
                                generate, reconstruct, train)
 
@@ -119,8 +121,9 @@ def rendered(out: dict):
 
 def read(out: dict):
     """The NOTE bytes `parse_midi` reads from tests/data/chorale64.mid and
-    from the files of `rendered`, and the frames `load_roll` makes of
-    chorale64.mid at four step lengths."""
+    from the files of `rendered`, the frames `load_roll` makes of
+    chorale64.mid at four step lengths, and what `load_split` makes of a
+    directory of those files and two it skips."""
     path = os.path.join(DATA_DIR, "chorale64.mid")
     with open(path, "rb") as fh:
         out["read.chorale64"] = sha256(parse_midi(fh.read())[0].tobytes())
@@ -130,6 +133,25 @@ def read(out: dict):
             parse_midi(render_midi(roll, spec))[0].tobytes() for roll in held_out40()))
     for label, step_fraction in (("1/4", 0.25), ("1/3", 1 / 3), ("1/2", 0.5), ("1", 1.0)):
         out[f"read.load_roll.{label}"] = sha256(load_roll(path, step_fraction)[0].frames.tobytes())
+    # One split of chorale64.mid, the files of `rendered`, a garbage file
+    # and a 1-frame roll: the frames, source ids and warnings of `load_split`,
+    # each warning without the temporary directory's path.
+    with tempfile.TemporaryDirectory() as directory:
+        split_dir = os.path.join(directory, "test")
+        os.makedirs(split_dir)
+        with open(path, "rb") as fh:
+            files = {"chorale64.mid": fh.read(), "garbage.mid": b"MThd, then garbage",
+                     "one_frame.mid": render_midi(chorale_piece(9, 1), QuantizationSpec(240))}
+        for ppq in (3, 480):
+            for k, roll in enumerate(held_out40()):
+                files[f"held{k}.ppq{ppq}.mid"] = render_midi(roll, QuantizationSpec.for_ppq(ppq))
+        for name, data in files.items():
+            with open(os.path.join(split_dir, name), "wb") as fh:
+                fh.write(data)
+        rolls, warnings = load_split(directory, "test")
+        out["read.load_split"] = sha256(b"".join(roll.frames.tobytes() for roll in rolls)
+                                        + repr([roll.source_id for roll in rolls]).encode()
+                                        + repr([w[len(split_dir):] for w in warnings]).encode())
 
 
 def ledger() -> dict:

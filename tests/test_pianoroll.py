@@ -320,7 +320,10 @@ def test_quantize_split_matches_quantize_of_each_piece(pieces):
     with mock.patch.object(pianoroll, "MAX_STEPS", 32):
         args = [(note_array(events), QuantizationSpec(tps), f"piece{k}")
                 for k, (events, tps) in enumerate(pieces)]
-        split = quantize_split(args)
+        # Each piece's notes reversed: the split does not read note order.
+        split = quantize_split(note_array([e for events, _ in pieces for e in events[::-1]]),
+                               [len(events) for events, _ in pieces],
+                               [spec for _, spec, _ in args], [name for _, _, name in args])
         assert len(split) == len(args)
         for (events, _), arg, got in zip(pieces, args, split):
             alone = _refusal_or(quantize, *arg)
@@ -331,13 +334,29 @@ def test_quantize_split_matches_quantize_of_each_piece(pieces):
                 assert got.source_id == alone.source_id == arg[2]
                 assert got.frames.tobytes() == alone.frames.tobytes()
                 assert np.array_equal(got.frames, expected)
+                # The split's rolls skip PianoRoll's value scan; their frames pass it.
+                assert got.frames.dtype == np.float64 and got.frames.flags.c_contiguous
+                assert PianoRoll(got.frames).frames is got.frames
+
+
+@pytest.mark.parametrize("counts, specs, names", [
+    pytest.param([1, 1], [SPEC, SPEC], ["a", "b"], id="sum-below-size"),
+    pytest.param([3, 1], [SPEC, SPEC], ["a", "b"], id="sum-above-size"),
+    pytest.param([4, -1], [SPEC, SPEC], ["a", "b"], id="negative-count"),
+    pytest.param([3], [SPEC, SPEC], ["a", "b"], id="fewer-counts-than-specs"),
+    pytest.param([2, 1], [SPEC, SPEC], ["a"], id="fewer-names-than-specs"),
+    pytest.param([], [], [], id="no-piece-for-the-notes")])
+def test_quantize_split_refuses_counts_that_do_not_cover_the_notes(counts, specs, names):
+    notes = note_array([(60, 0, 240, 0), (62, 240, 240, 0), (64, 0, 480, 0)])
+    with pytest.raises(ValueError, match="counts"):
+        quantize_split(notes, counts, specs, names)
 
 
 def test_a_split_piece_ending_on_its_last_step_leaks_into_no_next_piece():
     # The first piece's note ends on the step after its last row: its
     # -1.0 lands on the piece's spare end row, not on the next piece's first.
-    first, second = quantize_split([(note_array([(60, 0, 480, 0)]), SPEC, "first"),
-                                    (note_array([(64, 0, 720, 0)]), SPEC, "second")])
+    first, second = quantize_split(note_array([(60, 0, 480, 0), (64, 0, 720, 0)]), [1, 1],
+                                   [SPEC, SPEC], ["first", "second"])
     column = 60 - MIN_PITCH
     assert len(first) == 2 and first.frames[:, column].tolist() == [1.0, 1.0]
     assert len(second) == 3 and not second.frames[:, column].any()
@@ -600,6 +619,11 @@ def test_load_split_of_a_mixed_directory_matches_a_per_file_loop(tmp_path):
     _write_roll(split_dir / "UPPER.MIDI", chorale_piece(7, 4).frames)
     _write_roll(split_dir / "one_frame.mid", chorale_piece(8, 1).frames)
     (split_dir / "garbage.mid").write_bytes(b"\x00\xffnot a MIDI file at all")
+    # Two whole notes, then a note-on cut short: the walk has read the notes
+    # when it raises. Sorted between good1 and good2, whose rolls they must not reach.
+    data = write_midi(note_array([(60, 0, 480, 0), (64, 480, 480, 0)]), 480)
+    body = data[22:-4] + b"\x00\x90\x3c"
+    (split_dir / "good1_cut.mid").write_bytes(data[:18] + struct.pack(">I", len(body)) + body)
     (split_dir / "no_note.mid").write_bytes(write_midi(note_array([]), 480))
     (split_dir / "too_long.mid").write_bytes(write_midi(note_array([(60, 0, 1 << 27, 0)]), 1))
     (split_dir / "readme.txt").write_text("not a piece")
@@ -610,9 +634,11 @@ def test_load_split_of_a_mixed_directory_matches_a_per_file_loop(tmp_path):
     assert [r.frames.tobytes() for r in rolls] == [r.frames.tobytes() for r in want_rolls]
     assert warnings == want_warnings
     assert [w[len(str(split_dir)) + 1 :].split(":")[0] for w in warnings] == [
-        "folder.mid", "garbage.mid", "no_note.mid", "one_frame.mid", "too_long.mid"]
-    for warning, text in zip(warnings[1:], ["missing MThd header", "no events to quantize",
-                                            "need >= 2 frames, got 1", "exceed MAX_STEPS"]):
+        "folder.mid", "garbage.mid", "good1_cut.mid", "no_note.mid", "one_frame.mid",
+        "too_long.mid"]
+    for warning, text in zip(warnings[1:], ["missing MThd header", "truncated channel event",
+                                            "no events to quantize", "need >= 2 frames, got 1",
+                                            "exceed MAX_STEPS"]):
         assert text in warning
 
 
